@@ -10,10 +10,8 @@ the live HTTP service cold and then from the persistent result cache, and a
 ``corpus_throughput`` workload that bulk-ingests problems generated from the
 committed sample corpus through ``POST /v1/batch`` cold and warm, and a
 ``fault_overhead`` workload that pins the cost of the dormant fault-injection
-points left in the service hot paths (see ``repro.faults``), and a
-``dfa_warm_reuse`` workload that asserts warm engine runs reuse the
-process-global compiled automata instead of recompiling, all
-without requiring pytest-benchmark.  The numbers are written to a JSON report
+points left in the service hot paths (see ``repro.faults``), all without
+requiring pytest-benchmark.  The numbers are written to a JSON report
 (``BENCH_engine.json`` at the repository root by default).
 
 The report accumulates labelled *snapshots* so a before/after trajectory can
@@ -26,16 +24,11 @@ be committed alongside the code that produced it::
 
 When the report contains both a ``before`` and an ``after`` snapshot, a
 ``comparison`` section with per-workload speedups is recomputed on every run.
-When the evaluation layer supports selecting the evaluator
-(``Examples(..., evaluator=...)``), the full-sketch workload is additionally
-measured under every evaluator named by ``--modes`` so the legacy recursive
-matcher stays measurable as a reference point.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import statistics
 import sys
@@ -67,10 +60,7 @@ _FULL_SKETCH = (
 )
 
 
-def _examples(evaluator: str | None) -> Examples:
-    """Build the example set, selecting the evaluator when supported."""
-    if evaluator and "evaluator" in inspect.signature(Examples.__init__).parameters:
-        return Examples(_POSITIVES, _NEGATIVES, evaluator=evaluator)
+def _examples() -> Examples:
     return Examples(_POSITIVES, _NEGATIVES)
 
 
@@ -134,7 +124,7 @@ def _time_workload(fn, repeats: int) -> dict:
 
 def bench_approximation_check(repeats: int, inner: int = 200) -> dict:
     """Approximation-based pruning check on the Figure-9 initial partial."""
-    examples = _examples(None)
+    examples = _examples()
     partial = initial_partial(parse_sketch(_APPROX_SKETCH))
 
     def run():
@@ -149,7 +139,7 @@ def bench_approximation_check(repeats: int, inner: int = 200) -> dict:
 
 def bench_constant_inference(repeats: int) -> dict:
     """Length-constraint encoding + symbolic-integer enumeration (Figure 14)."""
-    examples = _examples(None)
+    examples = _examples()
     partial = _symbolic_partial()
 
     def run():
@@ -173,12 +163,12 @@ def bench_constant_inference_heavy(repeats: int) -> dict:
     return _time_workload(run, repeats)
 
 
-def bench_full_sketch_completion(repeats: int, evaluator: str | None) -> dict:
+def bench_full_sketch_completion(repeats: int) -> dict:
     """Complete the Section-2 motivating-example sketch from scratch."""
     sketch = parse_sketch(_FULL_SKETCH)
 
     def run():
-        result = Synthesizer(_CONFIG).synthesize(sketch, _examples(evaluator))
+        result = Synthesizer(_CONFIG).synthesize(sketch, _examples())
         assert result.solved
         return {
             "expansions": result.expansions,
@@ -189,94 +179,11 @@ def bench_full_sketch_completion(repeats: int, evaluator: str | None) -> dict:
             "solver_propagations": getattr(result, "solver_propagations", 0),
             "solver_conflicts": getattr(result, "solver_conflicts", 0),
             "encode_cache_hits": getattr(result, "encode_cache_hits", 0),
-            "static_prune_hits": getattr(result, "static_prune_hits", 0),
-            "static_prune_misses": getattr(result, "static_prune_misses", 0),
-            "dfa_cache_hits": getattr(result, "dfa_cache_hits", 0),
-            "dfa_compiled": getattr(result, "dfa_compiled", 0),
-            "dfa_compile_ms": getattr(result, "dfa_compile_ms", 0.0),
         }
 
     entry = _time_workload(run, repeats)
     entry["expansions_per_sec"] = entry["expansions"] / entry["seconds_min"]
     return entry
-
-
-def bench_dfa_warm_reuse(repeats: int) -> dict:
-    """Compiled-artifact reuse across engine runs (the warm-service number).
-
-    The DFA evaluator stores every compiled automaton and batched membership
-    verdict in process-global caches keyed by interned regexes, so a second
-    engine run over the same problem — or the same problem hitting another
-    warm service worker thread — should compile *nothing*.  One priming run
-    pays whatever compilation the process still owes, then ``repeats`` timed
-    runs must report zero freshly compiled automata while drawing nonzero
-    cache hits; the workload asserts both, so the committed report is also a
-    regression check on cache effectiveness.
-    """
-    from repro.automata.membership import MEMBERSHIP_CACHE_STATS
-
-    sketch = parse_sketch(_FULL_SKETCH)
-
-    def solve():
-        result = Synthesizer(_CONFIG).synthesize(sketch, _examples("dfa"))
-        assert result.solved
-        return result
-
-    compiled_before = MEMBERSHIP_CACHE_STATS.compiled
-    start = time.perf_counter()
-    solve()
-    first_seconds = time.perf_counter() - start
-    compiled_priming = MEMBERSHIP_CACHE_STATS.compiled - compiled_before
-
-    def run():
-        result = solve()
-        assert result.dfa_compiled == 0, "warm run compiled fresh automata"
-        assert result.dfa_cache_hits > 0, "warm run drew no membership-cache hits"
-        return {
-            "dfa_cache_hits": result.dfa_cache_hits,
-            "dfa_compiled_warm": result.dfa_compiled,
-        }
-
-    entry = _time_workload(run, repeats)
-    entry["first_run_seconds"] = first_seconds
-    entry["automata_compiled_priming"] = compiled_priming
-    entry["warm_speedup_vs_first"] = first_seconds / entry["seconds_min"]
-    return entry
-
-
-def bench_static_prune(repeats: int) -> dict:
-    """The Section-2 sketch with the static analyzer on versus off.
-
-    Same search as ``full_sketch_completion``, run twice per iteration: once
-    with ``use_static_analysis`` enabled (the default) and once disabled, so
-    the report carries both the analyzer's hit rate and the net wall-clock
-    effect of the cheap pre-filter in front of the automata-based
-    approximation check.
-    """
-    sketch = parse_sketch(_FULL_SKETCH)
-    examples = _examples(None)
-    config_on = _CONFIG
-    config_off = SynthesisConfig(hole_depth=2, timeout=15.0, use_static_analysis=False)
-
-    def run():
-        start = time.perf_counter()
-        with_analysis = Synthesizer(config_on).synthesize(sketch, examples)
-        on_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        without = Synthesizer(config_off).synthesize(sketch, examples)
-        off_seconds = time.perf_counter() - start
-        assert with_analysis.solved and without.solved
-        hits = with_analysis.static_prune_hits
-        misses = with_analysis.static_prune_misses
-        return {
-            "static_prune_hits": hits,
-            "static_prune_misses": misses,
-            "static_prune_rate": hits / max(hits + misses, 1),
-            "seconds_with_analysis": on_seconds,
-            "seconds_without_analysis": off_seconds,
-        }
-
-    return _time_workload(run, repeats)
 
 
 #: Service-roundtrip problem: slow enough cold (~2 s of portfolio search for
@@ -479,24 +386,16 @@ def bench_fault_overhead(repeats: int, inner: int = 100_000) -> dict:
     return entry
 
 
-def run_snapshot(label: str, repeats: int, modes: list[str]) -> dict:
+def run_snapshot(label: str, repeats: int) -> dict:
     workloads = {
         "approximation_check": bench_approximation_check(repeats),
         "constant_inference": bench_constant_inference(repeats),
         "constant_inference_heavy": bench_constant_inference_heavy(repeats),
-        "full_sketch_completion": bench_full_sketch_completion(repeats, None),
-        "static_prune": bench_static_prune(repeats),
+        "full_sketch_completion": bench_full_sketch_completion(repeats),
         "service_roundtrip": bench_service_roundtrip(repeats),
         "corpus_throughput": bench_corpus_throughput(repeats),
         "fault_overhead": bench_fault_overhead(repeats),
     }
-    supports_modes = "evaluator" in inspect.signature(Examples.__init__).parameters
-    if supports_modes:
-        for mode in modes:
-            workloads[f"full_sketch_completion[{mode}]"] = bench_full_sketch_completion(
-                repeats, mode
-            )
-        workloads["dfa_warm_reuse"] = bench_dfa_warm_reuse(repeats)
     return {
         "label": label,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -535,11 +434,6 @@ def main(argv: list[str] | None = None) -> int:
         help="existing report whose snapshots (other labels) are kept",
     )
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument(
-        "--modes",
-        default="dfa,matchset,recursive",
-        help="comma-separated evaluator modes for the full-sketch workload",
-    )
     args = parser.parse_args(argv)
 
     snapshots: list[dict] = []
@@ -550,8 +444,7 @@ def main(argv: list[str] | None = None) -> int:
             if snapshot["label"] != args.label
         ]
 
-    modes = [mode for mode in args.modes.split(",") if mode]
-    snapshot = run_snapshot(args.label, args.repeats, modes)
+    snapshot = run_snapshot(args.label, args.repeats)
     snapshots.append(snapshot)
 
     report = {

@@ -4,14 +4,19 @@ The analyzer computes cheap, sound :class:`~repro.analysis.facts.Facts`
 (match-length intervals, first/last/required character sets, nullability,
 emptiness/universality) per interned subtree and serves three consumers:
 
-* **engine pruning** — :func:`~repro.analysis.check.partial_prune_reason`
-  rejects provably-infeasible partials before the match-set evaluator runs
-  (counted as ``static_prune_hits``/``static_prune_misses`` in reports);
 * **diagnostics** — :func:`~repro.analysis.diagnostics.lint_problem` and
   friends power the ``regel lint`` CLI subcommand;
 * **the service boundary** — ``POST /v1/lint`` and the pre-queue 422
   rejection of statically-unsatisfiable problems
-  (:func:`~repro.analysis.diagnostics.problem_unsatisfiable`).
+  (:func:`~repro.analysis.diagnostics.problem_unsatisfiable`);
+* **corpus vetting** — :mod:`repro.corpus.generate` drops generated sketches
+  whose facts already reject a positive example.
+
+The PBE engine does not consult the analyzer: with unbounded symbolic
+integers, approximation pruning rejects every partial that
+:func:`~repro.analysis.check.partial_prune_reason` does (pinned in
+``tests/test_analysis.py``), and a facts pre-filter in front of it cost more
+on the cold benchmark than the membership queries it saved.
 
 Soundness is the package-wide contract: the analysis may answer "maybe", it
 never produces a wrong "no" (pinned by the differential tests in

@@ -1,11 +1,13 @@
-"""Example checks — the engine-facing side of the static analyzer.
+"""Example checks — the analyzer's verdict on a partial regex.
 
-:func:`partial_prune_reason` is the cheap pre-filter that
-:meth:`repro.synthesis.engine.SynthesisRun.step` runs on every successor
-before the match-set evaluator: when the facts of a partial prove some
-positive example unmatchable, or some negative example unavoidably matched,
-no completion can be consistent and the successor is pruned without a single
-membership query.
+:func:`partial_prune_reason` decides from facts alone whether a partial can
+still be completed into a regex consistent with the examples: when the facts
+prove some positive example unmatchable, or some negative example
+unavoidably matched, no completion can be consistent.  The engine does not
+call it: with unbounded symbolic integers, approximation pruning rejects
+every partial it rejects (pinned in ``tests/test_analysis.py``).  Lint
+diagnostics, the service's 422 responses and corpus sketch vetting reason
+with the same facts.
 
 Soundness contract: a non-``None`` reason is a *proof* of infeasibility with
 respect to the completions the engine can reach (symbolic integers bounded by
@@ -14,16 +16,13 @@ respect to the completions the engine can reach (symbolic integers bounded by
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.analysis.analyzer import facts_of_partial
 from repro.analysis.facts import Facts
 from repro.synthesis.config import SynthesisConfig
 from repro.synthesis.examples import Examples
 from repro.synthesis.partial import PartialRegex
-
-#: Sentinel distinguishing "memoized None" from "not memoized" (dict.get).
-_UNKNOWN = "?"
 
 
 def _verdict(facts: Facts, examples: Examples) -> Optional[str]:
@@ -41,61 +40,23 @@ def partial_prune_reason(
     partial: PartialRegex,
     examples: Examples,
     config: SynthesisConfig,
-    memo: Optional[Dict[Facts, Optional[str]]] = None,
 ) -> Optional[str]:
     """Why ``partial`` provably cannot satisfy ``examples``, or ``None``.
 
     Reasons are ``"positive:<fact>"`` (some positive example cannot be in any
     completion's language) or ``"negative:unavoidable"`` (some negative
     example is in every completion's language).
-
-    ``memo`` is an optional facts→verdict cache for a *fixed* example set:
-    distinct successors overwhelmingly share facts values, so a caller in a
-    loop (the engine) skips the per-example checks after the first sighting
-    of each facts record.  The caller owns the dict and must not reuse it
-    across example sets.
     """
-    if not config.use_approximation or not config.use_static_analysis:
+    if not config.use_approximation:
         return None
     kmax = config.max_kappa if config.use_symbolic_ints else None
-    facts = facts_of_partial(partial, config.hole_depth, kmax)
-    if memo is None:
-        return _verdict(facts, examples)
-    reason = memo.get(facts, _UNKNOWN)
-    if reason is _UNKNOWN:
-        reason = memo[facts] = _verdict(facts, examples)
-    return reason
+    return _verdict(facts_of_partial(partial, config.hole_depth, kmax), examples)
 
 
 def static_infeasible(
     partial: PartialRegex,
     examples: Examples,
     config: SynthesisConfig,
-    memo: Optional[Dict[Facts, Optional[str]]] = None,
 ) -> bool:
     """Boolean form of :func:`partial_prune_reason`."""
-    return partial_prune_reason(partial, examples, config, memo) is not None
-
-
-def prune_checker(examples: Examples, config: SynthesisConfig):
-    """A ``partial -> reason | None`` callable specialised to one run.
-
-    Semantically identical to calling :func:`partial_prune_reason` with a
-    caller-owned memo, but the configuration flags, ``kmax``, and the
-    facts→verdict memo are resolved once instead of per successor — the
-    engine calls this in its innermost expansion loop.
-    """
-    if not config.use_approximation or not config.use_static_analysis:
-        return lambda partial: None
-    kmax = config.max_kappa if config.use_symbolic_ints else None
-    hole_depth = config.hole_depth
-    memo: Dict[Facts, Optional[str]] = {}
-
-    def check(partial: PartialRegex) -> Optional[str]:
-        facts = facts_of_partial(partial, hole_depth, kmax)
-        reason = memo.get(facts, _UNKNOWN)
-        if reason is _UNKNOWN:
-            reason = memo[facts] = _verdict(facts, examples)
-        return reason
-
-    return check
+    return partial_prune_reason(partial, examples, config) is not None

@@ -129,13 +129,6 @@ class Problem:
 
     # -- helpers -------------------------------------------------------------
 
-    def examples(self, evaluator: str | None = None) -> Examples:
-        """The example set as consumed by the PBE engine.
-
-        ``evaluator`` selects the membership evaluation strategy (see
-        :data:`repro.synthesis.examples.EVALUATORS`); None keeps the
-        engine default.
-        """
-        if evaluator is None:
-            return Examples(self.positive, self.negative)
-        return Examples(self.positive, self.negative, evaluator=evaluator)
+    def examples(self) -> Examples:
+        """The example set as consumed by the PBE engine."""
+        return Examples(self.positive, self.negative)

@@ -82,8 +82,7 @@ class SketchReport:
     #: Whether the engine was stopped by a budget or expansion cap.
     timed_out: bool
     #: Match-set evaluation cache hits/misses during this sketch's search
-    #: (zero when the engine ran with the recursive reference evaluator, and
-    #: in reports produced before these counters existed).
+    #: (zero in reports produced before these counters existed).
     eval_cache_hits: int = 0
     eval_cache_misses: int = 0
     #: Per-subtree approximation cache hits during this sketch's search.
@@ -94,18 +93,17 @@ class SketchReport:
     solver_conflicts: int = 0
     #: Figure-13 encoding-cache hits during this sketch's search.
     encode_cache_hits: int = 0
-    #: Successors rejected by the static analyzer before any membership query
-    #: (hits) and successors it could not rule out (misses); zero in reports
-    #: produced before the analyzer existed.
-    static_prune_hits: int = 0
-    static_prune_misses: int = 0
-    #: Compiled-membership (DFA) cache hits during this sketch's search,
-    #: automata compiled by it, and milliseconds spent compiling — zero in
-    #: reports produced before the automata-backed evaluator existed and
-    #: when the engine ran with a non-compiled evaluator.
-    dfa_cache_hits: int = 0
-    dfa_compiled: int = 0
-    dfa_compile_ms: float = 0.0
+
+    # Counters of the retired static pre-filter and compiled-membership
+    # evaluator.  Plain class attributes, not dataclass fields: always zero
+    # and never serialised; they exist only because ``perfbench/tracing.py``
+    # still reads them.  Older reports that carry them load fine, because
+    # ``from_dict`` ignores unknown keys.
+    static_prune_hits = 0
+    static_prune_misses = 0
+    dfa_cache_hits = 0
+    dfa_compiled = 0
+    dfa_compile_ms = 0.0
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -122,11 +120,6 @@ class SketchReport:
             "solver_propagations": self.solver_propagations,
             "solver_conflicts": self.solver_conflicts,
             "encode_cache_hits": self.encode_cache_hits,
-            "static_prune_hits": self.static_prune_hits,
-            "static_prune_misses": self.static_prune_misses,
-            "dfa_cache_hits": self.dfa_cache_hits,
-            "dfa_compiled": self.dfa_compiled,
-            "dfa_compile_ms": self.dfa_compile_ms,
         }
 
     @classmethod
@@ -145,11 +138,6 @@ class SketchReport:
             solver_propagations=data.get("solver_propagations", 0),
             solver_conflicts=data.get("solver_conflicts", 0),
             encode_cache_hits=data.get("encode_cache_hits", 0),
-            static_prune_hits=data.get("static_prune_hits", 0),
-            static_prune_misses=data.get("static_prune_misses", 0),
-            dfa_cache_hits=data.get("dfa_cache_hits", 0),
-            dfa_compiled=data.get("dfa_compiled", 0),
-            dfa_compile_ms=data.get("dfa_compile_ms", 0.0),
         )
 
 
@@ -200,35 +188,12 @@ class RunReport:
         return sum(report.eval_cache_hits for report in self.sketches)
 
     @property
-    def total_static_prune_hits(self) -> int:
-        return sum(report.static_prune_hits for report in self.sketches)
-
-    @property
-    def static_prune_rate(self) -> float:
-        """Fraction of analyzer-checked successors that were pruned statically."""
-        hits = self.total_static_prune_hits
-        total = hits + sum(report.static_prune_misses for report in self.sketches)
-        return hits / total if total else 0.0
-
-    @property
     def total_solver_propagations(self) -> int:
         return sum(report.solver_propagations for report in self.sketches)
 
     @property
     def total_solver_conflicts(self) -> int:
         return sum(report.solver_conflicts for report in self.sketches)
-
-    @property
-    def total_dfa_cache_hits(self) -> int:
-        return sum(report.dfa_cache_hits for report in self.sketches)
-
-    @property
-    def total_dfa_compiled(self) -> int:
-        return sum(report.dfa_compiled for report in self.sketches)
-
-    @property
-    def total_dfa_compile_ms(self) -> float:
-        return sum(report.dfa_compile_ms for report in self.sketches)
 
     @property
     def eval_cache_hit_rate(self) -> float:

@@ -219,7 +219,7 @@ def _solve_sketch_worker(
     engine = Synthesizer(config)
     result = engine.synthesize(
         parse_sketch(sketch_text),
-        Examples(positive, negative, evaluator=config.evaluator),
+        Examples(positive, negative),
     )
     return {
         "regexes": [to_dsl_string(regex) for regex in result.regexes],
@@ -233,11 +233,6 @@ def _solve_sketch_worker(
         "solver_propagations": result.solver_propagations,
         "solver_conflicts": result.solver_conflicts,
         "encode_cache_hits": result.encode_cache_hits,
-        "static_prune_hits": result.static_prune_hits,
-        "static_prune_misses": result.static_prune_misses,
-        "dfa_cache_hits": result.dfa_cache_hits,
-        "dfa_compiled": result.dfa_compiled,
-        "dfa_compile_ms": result.dfa_compile_ms,
     }
 
 
@@ -316,11 +311,6 @@ class ProcessPoolScheduler:
                         solver_propagations=payload.get("solver_propagations", 0),
                         solver_conflicts=payload.get("solver_conflicts", 0),
                         encode_cache_hits=payload.get("encode_cache_hits", 0),
-                        static_prune_hits=payload.get("static_prune_hits", 0),
-                        static_prune_misses=payload.get("static_prune_misses", 0),
-                        dfa_cache_hits=payload.get("dfa_cache_hits", 0),
-                        dfa_compiled=payload.get("dfa_compiled", 0),
-                        dfa_compile_ms=payload.get("dfa_compile_ms", 0.0),
                     )
                     for regex in result.regexes:
                         yield Found(index, regex)

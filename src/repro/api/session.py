@@ -84,7 +84,7 @@ class Session:
         else:
             sketches = self.provider.sketches(problem)
         events = self.scheduler.run(
-            sketches, problem.examples(config.evaluator), config, problem.budget, cancel
+            sketches, problem.examples(), config, problem.budget, cancel
         )
         seen: set[str] = set()
         try:
@@ -123,11 +123,6 @@ class Session:
                             solver_propagations=result.solver_propagations,
                             solver_conflicts=result.solver_conflicts,
                             encode_cache_hits=result.encode_cache_hits,
-                            static_prune_hits=result.static_prune_hits,
-                            static_prune_misses=result.static_prune_misses,
-                            dfa_cache_hits=result.dfa_cache_hits,
-                            dfa_compiled=result.dfa_compiled,
-                            dfa_compile_ms=result.dfa_compile_ms,
                         )
                     )
         except GeneratorExit:

@@ -20,12 +20,6 @@ from repro.automata.minterms import Alphabet, alphabet_for
 from repro.automata.nfa import NFA
 from repro.automata.dfa import DFA
 from repro.automata.compiler import CompiledRegex, compile_regex
-from repro.automata.membership import (
-    MEMBERSHIP_CACHE_STATS,
-    MembershipAutomaton,
-    MembershipStats,
-    membership_automaton,
-)
 from repro.automata.operations import (
     regex_equivalent,
     regex_included,
@@ -51,10 +45,6 @@ __all__ = [
     "DFA",
     "CompiledRegex",
     "compile_regex",
-    "MEMBERSHIP_CACHE_STATS",
-    "MembershipAutomaton",
-    "MembershipStats",
-    "membership_automaton",
     "regex_equivalent",
     "regex_included",
     "difference_witness",

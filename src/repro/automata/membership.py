@@ -1,334 +1,11 @@
-"""Compiled membership: concrete DSL subtrees as process-global automata.
+"""Name-only remnant of the retired compiled-membership evaluator.
 
-The PBE engine answers the same question — "does this interned concrete
-regex match this example string?" — thousands of times per run, and warm
-service workers answer it for the *same* interned nodes across requests.
-This module turns that access pattern into compile-once/run-many:
-
-* a regex is compiled **once** to a Thompson NFA over its own minterm
-  alphabet (:mod:`repro.automata.minterms`), with epsilon closures folded
-  into per-state bitmask transition tables at compile time;
-* membership queries run the NFA as a **lazily determinized** DFA — state
-  sets are integer bitmasks, and each discovered ``(state set, symbol)``
-  successor is memoised as an integer-indexed transition row, so the second
-  subject through an automaton walks plain list lookups;
-* compiled artifacts live in a process-global cache keyed by the interned
-  node (:mod:`repro.caches`), so hash-consing makes reuse free across
-  candidate regexes, engine runs, and service requests alike.
-
-Regexes the backend cannot compile within budget (pathological ``Not``/
-``And`` nests blowing the state cap) are remembered as uncompilable and the
-caller falls back to the match-set evaluator — the DFA path is a pure
-accelerator, never a semantics change.
+Membership is evaluated by :class:`repro.dsl.semantics.Matcher` alone.  This
+module exists only because ``perfbench/tracing.py`` still wraps
+:func:`membership_automaton`; nothing in the package imports it.
 """
 
-from __future__ import annotations
 
-import time
-from typing import Dict, List, Optional, Sequence, Tuple
-
-from repro.caches import CACHE_LOCK, GuardedDict, cache_insert, register_cache
-from repro.dsl import ast
-from repro.automata.compiler import _Builder
-from repro.automata.minterms import Alphabet, predicates_of
-
-#: Compile budget: reject NFAs larger than this instead of determinizing
-#: them lazily forever.  Engine-generated candidates are tens of states;
-#: only adversarial ``Not``/``And`` towers (whose sub-DFAs are embedded
-#: eagerly by the compiler) approach the cap.
-MAX_NFA_STATES = 4096
-
-#: Eviction threshold for the compiled-artifact cache.  Artifacts are a few
-#: KB each; the cap only exists so a pathological workload cannot grow the
-#: process without bound.
-MAX_CACHED_AUTOMATA = 65536
-
-#: Per-alphabet cap on memoised subject encodings.
-_MAX_ENCODINGS = 4096
-
-
-class MembershipStats:
-    """Global counters for the compiled-membership cache.
-
-    ``hits``/``misses`` count artifact-cache lookups, ``compiled`` the
-    automata actually built, ``uncompilable`` the regexes that blew the
-    compile budget (and fell back to the match-set evaluator), and
-    ``compile_seconds`` the wall clock spent compiling.  Increments are
-    plain (benign-race) telemetry, same as the other global cache stats.
-    """
-
-    __slots__ = ("hits", "misses", "compiled", "uncompilable", "compile_seconds")
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.compiled = 0
-        self.uncompilable = 0
-        self.compile_seconds = 0.0
-
-    def snapshot(self) -> Tuple[int, int, int, int, float]:
-        return (self.hits, self.misses, self.compiled, self.uncompilable, self.compile_seconds)
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.compiled = 0
-        self.uncompilable = 0
-        self.compile_seconds = 0.0
-
-
-MEMBERSHIP_CACHE_STATS = MembershipStats()
-
-#: Sentinel cached for regexes the compiler refused (state-cap blowup).
-_UNCOMPILABLE = object()
-
-#: predicate-set key -> (Alphabet, subject-encoding memo).  Regexes with the
-#: same character classes share one alphabet, and therefore one encoding of
-#: each example string.
-_ALPHABET_CACHE: Dict[frozenset, "_SharedAlphabet"] = register_cache(
-    "automata.membership.alphabets", GuardedDict()
-)
-
-#: interned regex node -> MembershipAutomaton | _UNCOMPILABLE.  Strong
-#: references are deliberate: keeping the interned node alive is what makes
-#: the artifact reusable by the next request that builds the same subtree.
-_AUTOMATON_CACHE: Dict[ast.Regex, object] = register_cache(
-    "automata.membership.automata", GuardedDict()
-)
-
-
-class _SharedAlphabet:
-    """An :class:`Alphabet` plus a memo of encoded subjects.
-
-    One instance is shared by every automaton built from the same predicate
-    set, so each example string is translated to minterm symbols once per
-    alphabet rather than once per (regex, subject) query.
-    """
-
-    __slots__ = ("alphabet", "_encodings")
-
-    def __init__(self, alphabet: Alphabet):
-        self.alphabet = alphabet
-        self._encodings: Dict[str, Optional[Tuple[int, ...]]] = {}
-
-    def encode(self, text: str) -> Optional[Tuple[int, ...]]:
-        encodings = self._encodings
-        symbols = encodings.get(text, _UNCOMPILABLE)
-        if symbols is not _UNCOMPILABLE:
-            return symbols  # type: ignore[return-value]
-        raw = self.alphabet.encode(text)
-        symbols = tuple(raw) if raw is not None else None
-        if len(encodings) >= _MAX_ENCODINGS:
-            with CACHE_LOCK:
-                if len(encodings) >= _MAX_ENCODINGS:
-                    encodings.clear()
-        cache_insert(encodings, text, symbols)
-        return symbols
-
-
-def _shared_alphabet(regex: ast.Regex) -> _SharedAlphabet:
-    predicates = predicates_of([regex])
-    key = frozenset(predicates)
-    shared = _ALPHABET_CACHE.get(key)
-    if shared is None:
-        shared = cache_insert(_ALPHABET_CACHE, key, _SharedAlphabet(Alphabet(predicates)))
-    return shared
-
-
-class MembershipAutomaton:
-    """A concrete regex compiled for whole-string membership queries.
-
-    The underlying NFA is run as a lazily determinized DFA: subset states
-    are integer bitmasks interned to dense ids, and the transition function
-    is a per-id row of symbol slots filled in on first use.  Exploration is
-    serialised by :data:`repro.caches.CACHE_LOCK`; the steady-state query
-    path (every transition already discovered) is lock-free list indexing.
-    """
-
-    __slots__ = (
-        "regex",
-        "shared",
-        "num_nfa_states",
-        "_trans",
-        "_accept_mask",
-        "_ids",
-        "_masks",
-        "_rows",
-        "_accepting",
-    )
-
-    def __init__(
-        self,
-        regex: ast.Regex,
-        shared: _SharedAlphabet,
-        trans: List[Dict[int, int]],
-        start_mask: int,
-        accept_mask: int,
-    ):
-        self.regex = regex
-        self.shared = shared
-        self.num_nfa_states = len(trans)
-        self._trans = trans
-        self._accept_mask = accept_mask
-        self._ids: Dict[int, int] = {start_mask: 0}
-        self._masks: List[int] = [start_mask]
-        self._rows: List[List[Optional[int]]] = [[None] * shared.alphabet.num_symbols]
-        self._accepting: List[bool] = [bool(start_mask & accept_mask)]
-
-    @property
-    def num_dfa_states(self) -> int:
-        """Subset states discovered so far (grows as subjects are run)."""
-        return len(self._masks)
-
-    def accepts(self, text: str) -> bool:
-        """Whole-string membership.  ``text`` must be over the alphabet."""
-        symbols = self.shared.encode(text)
-        if symbols is None:
-            raise ValueError(
-                f"subject contains characters outside the printable alphabet: {text!r}"
-            )
-        rows = self._rows
-        state = 0
-        for symbol in symbols:
-            nxt = rows[state][symbol]
-            if nxt is None:
-                nxt = self._explore(state, symbol)
-            state = nxt
-        return self._accepting[state]
-
-    def accepts_batch(self, texts: Sequence[str]) -> List[bool]:
-        """Membership of every subject in one pass over the automaton.
-
-        The artifact is compiled once; each subject then costs one walk of
-        the (shared, progressively memoised) transition rows — later
-        subjects reuse every ``(state set, symbol)`` successor the earlier
-        ones discovered.
-        """
-        return [self.accepts(text) for text in texts]
-
-    def end_masks(self, text: str) -> List[int]:
-        """Match-set view: row ``i`` has bit ``j`` set iff ``text[i:j]`` matches.
-
-        Same table shape as :meth:`repro.dsl.semantics.Matcher.match_sets`,
-        which is what the three-way differential tests compare against.
-        """
-        symbols = self.shared.encode(text)
-        if symbols is None:
-            raise ValueError(
-                f"subject contains characters outside the printable alphabet: {text!r}"
-            )
-        n = len(symbols)
-        rows = self._rows
-        accepting = self._accepting
-        out: List[int] = []
-        for i in range(n + 1):
-            state = 0
-            mask = (1 << i) if accepting[0] else 0
-            for j in range(i, n):
-                nxt = rows[state][symbols[j]]
-                if nxt is None:
-                    nxt = self._explore(state, symbols[j])
-                state = nxt
-                if accepting[state]:
-                    mask |= 1 << (j + 1)
-            out.append(mask)
-        return out
-
-    # -- internal -----------------------------------------------------------
-
-    def _explore(self, state: int, symbol: int) -> int:
-        """Discover the successor of ``(state, symbol)`` (serialised)."""
-        with CACHE_LOCK:
-            row = self._rows[state]
-            cached = row[symbol]
-            if cached is not None:
-                return cached
-            trans = self._trans
-            mask = 0
-            remaining = self._masks[state]
-            while remaining:
-                low = remaining & -remaining
-                remaining ^= low
-                delta = trans[low.bit_length() - 1].get(symbol)
-                if delta:
-                    mask |= delta
-            target = self._ids.get(mask)
-            if target is None:
-                target = len(self._masks)
-                self._ids[mask] = target
-                self._masks.append(mask)
-                self._rows.append([None] * self.shared.alphabet.num_symbols)
-                self._accepting.append(bool(mask & self._accept_mask))
-            row[symbol] = target
-            return target
-
-
-def _closure_masks(epsilon: Dict[int, set], num_states: int) -> List[int]:
-    """Bitmask epsilon-closure of each state (iterative, cycle-safe)."""
-    masks: List[int] = []
-    for state in range(num_states):
-        mask = 1 << state
-        seen = {state}
-        stack = [state]
-        while stack:
-            current = stack.pop()
-            for target in epsilon.get(current, ()):
-                if target not in seen:
-                    seen.add(target)
-                    mask |= 1 << target
-                    stack.append(target)
-        masks.append(mask)
-    return masks
-
-
-def _compile(regex: ast.Regex) -> Optional[MembershipAutomaton]:
-    shared = _shared_alphabet(regex)
-    try:
-        builder = _Builder(shared.alphabet)
-        entry, exit_ = builder.build(regex)
-    except (ValueError, RecursionError, MemoryError):
-        return None
-    nfa = builder.nfa
-    if nfa.num_states > MAX_NFA_STATES:
-        return None
-    closures = _closure_masks(nfa.epsilon, nfa.num_states)
-    trans: List[Dict[int, int]] = []
-    for state in range(nfa.num_states):
-        folded: Dict[int, int] = {}
-        for symbol, targets in nfa.transitions.get(state, {}).items():
-            mask = 0
-            for target in targets:
-                mask |= closures[target]
-            folded[symbol] = mask
-        trans.append(folded)
-    return MembershipAutomaton(regex, shared, trans, closures[entry], 1 << exit_)
-
-
-def membership_automaton(regex: ast.Regex) -> Optional[MembershipAutomaton]:
-    """The compiled automaton of a concrete regex, or None if uncompilable.
-
-    Artifacts are cached process-globally by interned node: the first call
-    per regex compiles, every later call — same engine run, later run, or a
-    different service request warming the same worker — is a dict hit.
-    """
-    stats = MEMBERSHIP_CACHE_STATS
-    cached = _AUTOMATON_CACHE.get(regex)
-    if cached is not None:
-        stats.hits += 1
-        return None if cached is _UNCOMPILABLE else cached  # type: ignore[return-value]
-    stats.misses += 1
-    started = time.perf_counter()
-    automaton = _compile(regex)
-    stats.compile_seconds += time.perf_counter() - started
-    if automaton is None:
-        stats.uncompilable += 1
-    else:
-        stats.compiled += 1
-    if len(_AUTOMATON_CACHE) >= MAX_CACHED_AUTOMATA:
-        with CACHE_LOCK:
-            if len(_AUTOMATON_CACHE) >= MAX_CACHED_AUTOMATA:
-                _AUTOMATON_CACHE.clear()
-    stored = cache_insert(
-        _AUTOMATON_CACHE, regex, automaton if automaton is not None else _UNCOMPILABLE
-    )
-    return None if stored is _UNCOMPILABLE else stored  # type: ignore[return-value]
+def membership_automaton(regex):
+    """Never called by the program; kept so the tracer's hook resolves."""
+    return None

@@ -95,20 +95,6 @@ def _add_scheduler_arguments(parser: argparse.ArgumentParser) -> None:
         help="sequential scheduler only: restore the historical policy in which "
         "one pathological sketch may consume nearly the whole budget",
     )
-    _add_evaluator_argument(parser)
-
-
-def _add_evaluator_argument(parser: argparse.ArgumentParser) -> None:
-    from repro.synthesis.examples import DEFAULT_EVALUATOR, EVALUATORS
-
-    parser.add_argument(
-        "--evaluator",
-        choices=sorted(EVALUATORS),
-        default=DEFAULT_EVALUATOR,
-        help="membership evaluator: 'dfa' compiles concrete subtrees onto the "
-        "automata backend (default); 'matchset'/'recursive' are the "
-        "differential baselines",
-    )
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -240,7 +226,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="scheduler run by each worker session",
     )
     serve.add_argument("--sketches", type=int, default=25, help="sketches per problem")
-    _add_evaluator_argument(serve)
     serve.add_argument(
         "--cache-backend",
         choices=["json", "sqlite", "null"],
@@ -324,9 +309,6 @@ def _make_session(
         provider = StaticSketchProvider(list(static_sketches))
     else:
         provider = NlSketchProvider(num_sketches=args.sketches)
-    if config is None:
-        config = SynthesisConfig()
-    config.evaluator = getattr(args, "evaluator", config.evaluator)
     return Session(provider=provider, scheduler=scheduler, config=config)
 
 
@@ -645,7 +627,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         queue_size=args.queue_size,
         scheduler=args.scheduler,
-        evaluator=args.evaluator,
         sketches=args.sketches,
         cache_backend=args.cache_backend,
         cache_path=args.cache_path,

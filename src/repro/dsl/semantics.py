@@ -1,8 +1,8 @@
 """Exact matching semantics of the regex DSL (Figure 6 of the paper).
 
-Three evaluators implement ``[[r]](s)``:
+Two evaluators implement ``[[r]](s)``:
 
-* :class:`Matcher` — the default **match-set** evaluator.  For each regex
+* :class:`Matcher` — the production **match-set** evaluator.  For each regex
   node it computes, bottom-up and exactly once per ``(node, subject)`` pair,
   the complete relation "``s[i:j]`` matches the node" as one integer bitmask
   of end positions ``j`` per start index ``i``.  Boolean connectives
@@ -14,22 +14,12 @@ Three evaluators implement ``[[r]](s)``:
   all candidate regexes evaluated against the subject — which is the access
   pattern of the PBE engine (thousands of candidates, a handful of example
   strings).
-* :class:`DfaMatcher` — the **compiled** evaluator and production default.
-  Whole-string membership queries are dispatched to process-global automata
-  compiled once per interned concrete subtree
-  (:mod:`repro.automata.membership`); span queries (``match_sets`` /
-  ``matches_span``) fall through to the inherited match-set composition.
-  Subjects containing characters outside the printable alphabet, and
-  regexes the automata backend refuses to compile, silently fall back to
-  the match-set path — the evaluators are everywhere-equivalent and the
-  three-way differential suite (``tests/test_eval_equivalence.py``) pins
-  that.
 * :class:`RecursiveMatcher` — the original per-``(node, i, j)`` boolean
   recursion, kept verbatim as an executable reference oracle for the
-  evaluator-equivalence property tests and as the ``evaluator="recursive"``
-  mode of :class:`repro.synthesis.examples.Examples`.
+  differential tests (``tests/test_eval_equivalence.py``) and the
+  benchmark's solution checker.
 
-Automata-based evaluation (:mod:`repro.automata`) also remains the tool for
+Automata-based evaluation (:mod:`repro.automata`) remains the tool for
 language-level reasoning (complement, equivalence, sampling).
 """
 
@@ -40,26 +30,7 @@ from operator import ior
 from typing import Dict, List, Tuple
 
 from repro.dsl import ast
-from repro.dsl.charclass import PRINTABLE_ALPHABET, chars_of
-
-#: Characters the automata backend can encode; subjects containing anything
-#: else (rare: control characters in adversarial inputs) are evaluated by
-#: the match-set path, whose semantics cover arbitrary characters.
-_PRINTABLE_SET = frozenset(PRINTABLE_ALPHABET)
-
-#: Lazily resolved :func:`repro.automata.membership.membership_automaton`.
-#: The dsl package is the base layer, so the upward import happens on first
-#: DfaMatcher construction rather than at module import.
-_membership_automaton = None
-
-
-def _resolve_membership():
-    global _membership_automaton
-    if _membership_automaton is None:
-        from repro.automata.membership import membership_automaton
-
-        _membership_automaton = membership_automaton
-    return _membership_automaton
+from repro.dsl.charclass import chars_of
 
 
 def _lowest_bit_index(mask: int) -> int:
@@ -261,54 +232,13 @@ class Matcher:
         return out
 
 
-class DfaMatcher(Matcher):
-    """Match-set evaluator with compiled whole-string membership.
-
-    ``matches`` — the engine's hot query (the approximation pruning loop is
-    almost entirely whole-string membership) — runs the subject through a
-    process-global automaton compiled once per interned regex
-    (:mod:`repro.automata.membership`).  Everything else (``match_sets``,
-    ``matches_span``, span composition for enclosing open nodes) is the
-    inherited match-set machinery.  When the subject cannot be encoded or
-    the regex cannot be compiled within budget, ``matches`` falls back to
-    the inherited path, so the evaluator is a pure accelerator.
-    """
-
-    __slots__ = ("_accepts", "_automaton_of", "_encodable")
-
-    def __init__(self, subject: str):
-        super().__init__(subject)
-        #: regex -> whole-string verdict; separate from the match-set table
-        #: so a DFA answer never forces a table row to exist.
-        self._accepts: Dict[ast.Regex, bool] = {}
-        self._automaton_of = _resolve_membership()
-        self._encodable = all(char in _PRINTABLE_SET for char in subject)
-
-    def matches(self, regex: ast.Regex) -> bool:
-        """Return True iff ``regex`` matches the whole subject string."""
-        cached = self._accepts.get(regex)
-        if cached is not None:
-            self.cache_hits += 1
-            return cached
-        if not self._encodable:
-            return super().matches(regex)
-        automaton = self._automaton_of(regex)
-        if automaton is None:
-            return super().matches(regex)
-        self.cache_misses += 1
-        result = automaton.accepts(self.subject)
-        self._accepts[regex] = result
-        return result
-
-
 class RecursiveMatcher:
     """The original memoised boolean recursion (reference oracle).
 
     Kept byte-for-byte equivalent to the pre-match-set implementation: memo
     keys use ``id(node)`` with a keep-alive list, and each ``(node, i, j)``
     sub-problem is decided independently.  Use :class:`Matcher` in production
-    code; this class exists for differential testing and as the
-    ``evaluator="recursive"`` baseline of the benchmark driver.
+    code; this class exists for differential testing.
     """
 
     def __init__(self, subject: str):

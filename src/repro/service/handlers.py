@@ -49,8 +49,6 @@ from repro.service.batch import (
 )
 from repro.service.cache import ResultCache, make_cache
 from repro.service.pool import Job, PoolSaturated, WorkerPool
-from repro.synthesis.config import SynthesisConfig
-from repro.synthesis.examples import EVALUATORS
 from repro.service.wire import (
     JOB_DONE,
     JOB_FAILED,
@@ -84,12 +82,6 @@ class ServiceConfig:
     cache_max_entries: int = 1024
     #: Scheduler each worker session runs (see :data:`repro.api.SCHEDULERS`).
     scheduler: str = "interleaved"
-    #: Membership evaluator each engine runs (see
-    #: :data:`repro.synthesis.examples.EVALUATORS`): ``dfa`` shares compiled
-    #: automata and membership verdicts process-globally across worker
-    #: threads and requests; ``matchset``/``recursive`` are the differential
-    #: baselines.
-    evaluator: str = "dfa"
     #: Sketches requested from the semantic parser per problem.
     sketches: int = 25
     #: Reject problems whose budget exceeds this (seconds).
@@ -135,11 +127,6 @@ class ServiceState:
                 f"unknown scheduler {config.scheduler!r}; "
                 f"choose from {sorted(SCHEDULERS)}"
             )
-        if config.evaluator not in EVALUATORS:
-            raise ValueError(
-                f"unknown evaluator {config.evaluator!r}; "
-                f"choose from {sorted(EVALUATORS)}"
-            )
         self.config = config
         self.cache = cache if cache is not None else make_cache(
             config.cache_backend,
@@ -179,7 +166,6 @@ class ServiceState:
         return Session(
             provider=NlSketchProvider(num_sketches=self.config.sketches),
             scheduler=make_scheduler(self.config.scheduler),
-            config=SynthesisConfig(evaluator=self.config.evaluator),
         )
 
     # -- bookkeeping ---------------------------------------------------------

@@ -9,9 +9,8 @@ enumerating its completions (Theorem 4.4).
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
-from repro.caches import CACHE_LOCK, GuardedDict, cache_insert, register_cache
 from repro.dsl import ast as rast
 from repro.sketch import ast as sast
 from repro.synthesis.config import SynthesisConfig
@@ -100,23 +99,6 @@ class ApproxCacheStats:
 
 APPROX_CACHE_STATS = ApproxCacheStats()
 
-#: ``(interned partial, examples, hole depth) -> pruned?`` — the pruning
-#: check is a pair of batched membership queries against compiled automata,
-#: so its verdict is itself a pure function of the interned partial and the
-#: example strings and joins the same process-global cache family.  Only
-#: the compiled (``dfa``) evaluator consults it: the match-set and
-#: recursive evaluators are differential/benchmark oracles and must keep
-#: doing the real work.  Strong keys deliberately keep the partial nodes —
-#: and every memo stamped on them (approximations, sizes, analysis facts) —
-#: alive across engine runs, which is what makes warm service workers
-#: re-solve a known problem shape without re-deriving the search frontier.
-_INFEASIBLE_CACHE: Dict[tuple, bool] = register_cache(
-    "synthesis.infeasible_verdicts", GuardedDict()
-)
-
-_MAX_INFEASIBLE_VERDICTS = 1 << 18
-
-
 def approximate_partial(partial: PartialRegex, hole_depth: int = 3) -> Approximation:
     """Over-/under-approximation ``(o, u)`` of a partial regex (cached).
 
@@ -191,21 +173,5 @@ def infeasible(
     """
     if not config.use_approximation:
         return False
-    use_cache = examples.evaluator == "dfa"
-    if use_cache:
-        key = (partial, examples, config.hole_depth)
-        cached = _INFEASIBLE_CACHE.get(key)
-        if cached is not None:
-            APPROX_CACHE_STATS.hits += 1
-            return cached
     over, under = approximate_partial(partial, config.hole_depth)
-    verdict = not examples.accepts_all_positive(over) or not examples.rejects_all_negative(
-        under
-    )
-    if use_cache:
-        if len(_INFEASIBLE_CACHE) >= _MAX_INFEASIBLE_VERDICTS:
-            with CACHE_LOCK:
-                if len(_INFEASIBLE_CACHE) >= _MAX_INFEASIBLE_VERDICTS:
-                    _INFEASIBLE_CACHE.clear()
-        verdict = cache_insert(_INFEASIBLE_CACHE, key, verdict)
-    return verdict
+    return not examples.accepts_all_positive(over) or not examples.rejects_all_negative(under)

@@ -37,11 +37,6 @@ class SynthesisConfig:
     max_results: int = 1
     #: Use over-/under-approximation pruning (Section 4.1).
     use_approximation: bool = True
-    #: Run the abstract-interpretation pre-filter (:mod:`repro.analysis`)
-    #: before the match-set evaluator.  It is a refinement of approximation
-    #: pruning, so the Regel-Enum ablation (``use_approximation=False``)
-    #: disables it too.
-    use_static_analysis: bool = True
     #: Use symbolic integers + constraint solving (Section 4.2); when False the
     #: Repeat-family integer arguments are enumerated explicitly.
     use_symbolic_ints: bool = True
@@ -55,11 +50,6 @@ class SynthesisConfig:
     #: Extra literal characters (beyond predefined classes) allowed as leaves;
     #: by default literals are harvested from the positive examples.
     extra_literals: str = ""
-    #: Membership evaluator (see :data:`repro.synthesis.examples.EVALUATORS`):
-    #: ``dfa`` compiles concrete subtrees onto the automata backend (the
-    #: production default), ``matchset`` forces the pure match-set evaluator,
-    #: ``recursive`` the boolean-recursion reference oracle.
-    evaluator: str = "dfa"
 
     def for_variant(self, variant: EngineVariant) -> "SynthesisConfig":
         """Return a copy of this configuration specialised to an ablation variant."""

@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 from itertools import count
 from typing import List, Optional
 
-from repro.analysis.check import prune_checker
-from repro.automata.membership import MEMBERSHIP_CACHE_STATS
+# Re-exported under its retired name only because ``perfbench/tracing.py``
+# still wraps ``engine.prune_checker``; the engine no longer calls it.
+from repro.analysis.check import partial_prune_reason as prune_checker  # noqa: F401
 from repro.dsl import ast as rast
 from repro.dsl.printer import to_dsl_string
 from repro.dsl.simplify import simplify, size as regex_size
@@ -74,16 +75,6 @@ class SynthesisResult:
     solver_conflicts: int = 0
     #: Figure-13 encoding-cache hits attributed to this run.
     encode_cache_hits: int = 0
-    #: Successors pruned by the static analyzer before any membership query
-    #: (hits), and successors the analyzer could not rule out (misses).
-    static_prune_hits: int = 0
-    static_prune_misses: int = 0
-    #: Compiled-membership cache hits attributed to this run (automaton and
-    #: batched-verdict lookups answered by the process-global DFA caches),
-    #: automata compiled during it, and milliseconds spent compiling them.
-    dfa_cache_hits: int = 0
-    dfa_compiled: int = 0
-    dfa_compile_ms: float = 0.0
 
     @property
     def solved(self) -> bool:
@@ -126,10 +117,6 @@ class SynthesisRun:
         self._rejected: set[rast.Regex] = set()
         self._rejected_contains: set[rast.Regex] = set()
         self._rejected_atleast: dict[rast.Regex, int] = {}
-        # Static pre-filter specialised to this run's examples and config;
-        # it owns a facts→verdict memo (the examples are fixed for the whole
-        # run and successors share facts values heavily).
-        self._static_prune = prune_checker(examples, self.config)
         self._done = False
         self._push(initial_partial(sketch))
 
@@ -165,10 +152,6 @@ class SynthesisRun:
         propagations_base = solver_stats.propagations
         conflicts_base = solver_stats.conflicts
         encode_hits_base = ENCODE_CACHE_STATS.hits
-        membership_stats = MEMBERSHIP_CACHE_STATS
-        dfa_hits_base = membership_stats.hits
-        dfa_compiled_base = membership_stats.compiled
-        dfa_seconds_base = membership_stats.compile_seconds
 
         while self._worklist and not self._done:
             if result.expansions >= config.max_expansions:
@@ -211,13 +194,6 @@ class SynthesisRun:
                 if successor in self._seen:
                     continue
                 self._seen.add(successor)
-                # Cheap abstract-interpretation pre-filter: facts alone can
-                # often prove infeasibility without a single membership query.
-                if self._static_prune(successor) is not None:
-                    result.static_prune_hits += 1
-                    result.pruned += 1
-                    continue
-                result.static_prune_misses += 1
                 if infeasible(successor, examples, config):
                     result.pruned += 1
                     continue
@@ -233,11 +209,6 @@ class SynthesisRun:
         result.solver_propagations += solver_stats.propagations - propagations_base
         result.solver_conflicts += solver_stats.conflicts - conflicts_base
         result.encode_cache_hits += ENCODE_CACHE_STATS.hits - encode_hits_base
-        result.dfa_cache_hits += membership_stats.hits - dfa_hits_base
-        result.dfa_compiled += membership_stats.compiled - dfa_compiled_base
-        result.dfa_compile_ms += (
-            membership_stats.compile_seconds - dfa_seconds_base
-        ) * 1000.0
         # NB: result.regexes is append-only across steps (no re-sorting here);
         # incremental consumers rely on stable indices to detect new finds.
         return result
@@ -320,6 +291,4 @@ def synthesize(
     """
     config = (config or SynthesisConfig()).for_variant(variant)
     engine = Synthesizer(config)
-    return engine.synthesize(
-        sketch, Examples(positive, negative, evaluator=config.evaluator)
-    )
+    return engine.synthesize(sketch, Examples(positive, negative))

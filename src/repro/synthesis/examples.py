@@ -2,85 +2,26 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Sequence, Tuple
 
-from repro.automata.membership import MEMBERSHIP_CACHE_STATS, membership_automaton
-from repro.caches import CACHE_LOCK, GuardedDict, cache_insert, register_cache
 from repro.dsl import ast
-from repro.dsl.charclass import PRINTABLE_ALPHABET
-from repro.dsl.semantics import DfaMatcher, Matcher, RecursiveMatcher
-
-_PRINTABLE = frozenset(PRINTABLE_ALPHABET)
-
-#: ``(interned regex, subject tuple) -> acceptance bitmask`` — the batched
-#: membership verdicts of the compiled evaluator.  One automaton pass over
-#: all of a problem's subjects produces one integer; warm engine runs (and
-#: warm service workers, since the cache is process-global) answer the
-#: whole accepts-all-positives / rejects-all-negatives question with a
-#: single dict hit.  Strong keys are deliberate: they keep the interned
-#: regex alive, and with it every artifact and memo stamped on it.
-_MEMBERSHIP_MASKS: Dict[tuple, int] = register_cache(
-    "synthesis.membership_masks", GuardedDict()
-)
-
-_MAX_MEMBERSHIP_MASKS = 1 << 18
-
-#: Evaluator registry for :class:`Examples`; ``dfa`` is the production
-#: default (compiled membership over process-global automata, falling back
-#: to match sets where the backend cannot help), ``matchset`` the pure
-#: match-set evaluator, and ``recursive`` the original boolean recursion —
-#: the latter two are the differential oracles of the benchmark driver and
-#: the three-way equivalence suite.
-EVALUATORS = {
-    "dfa": DfaMatcher,
-    "matchset": Matcher,
-    "recursive": RecursiveMatcher,
-}
-
-#: The evaluator used when callers do not ask for one explicitly.
-DEFAULT_EVALUATOR = "dfa"
+from repro.dsl.semantics import Matcher
 
 
 class Examples:
     """A set of positive and negative string examples.
 
-    Membership checks reuse one matcher per example string, so evaluating
-    thousands of candidate regexes against the same examples shares the
-    memoised per-node match sets.  ``evaluator`` selects the evaluation
-    strategy (see :data:`EVALUATORS`); equality and hashing deliberately
-    ignore it — it changes performance, not semantics.
+    Membership checks reuse one :class:`~repro.dsl.semantics.Matcher` per
+    example string, so evaluating thousands of candidate regexes against the
+    same examples shares the memoised per-node match sets.
     """
 
-    def __init__(
-        self,
-        positive: Iterable[str],
-        negative: Iterable[str],
-        evaluator: str = DEFAULT_EVALUATOR,
-    ):
+    def __init__(self, positive: Iterable[str], negative: Iterable[str]):
         self.positive: tuple[str, ...] = tuple(positive)
         self.negative: tuple[str, ...] = tuple(negative)
-        if evaluator not in EVALUATORS:
-            raise ValueError(
-                f"unknown evaluator {evaluator!r}; expected one of {sorted(EVALUATORS)}"
-            )
-        self.evaluator = evaluator
-        self._matchers: Dict[str, Union[Matcher, RecursiveMatcher]] = {}
+        self._matchers: Dict[str, Matcher] = {}
         self._pos_matchers: tuple = ()
         self._neg_matchers: tuple = ()
-        # Batched membership is only available to the compiled evaluator and
-        # only over subjects the automata backend can encode.
-        self._batch_pos = evaluator == "dfa" and all(
-            char in _PRINTABLE for text in self.positive for char in text
-        )
-        self._batch_neg = evaluator == "dfa" and all(
-            char in _PRINTABLE for text in self.negative for char in text
-        )
-        self._full_pos_mask = (1 << len(self.positive)) - 1
-        #: Batched-membership lookups attributed to this example set (the
-        #: per-subject matchers keep their own counters; these cover the
-        #: queries that never reach a matcher).
-        self._batch_hits = 0
-        self._batch_misses = 0
 
     def __repr__(self) -> str:
         return f"Examples(positive={list(self.positive)!r}, negative={list(self.negative)!r})"
@@ -93,11 +34,10 @@ class Examples:
     def __hash__(self) -> int:
         return hash((self.positive, self.negative))
 
-    def matcher(self, text: str) -> Union[Matcher, RecursiveMatcher]:
+    def matcher(self, text: str) -> Matcher:
         matcher = self._matchers.get(text)
         if matcher is None:
-            matcher = EVALUATORS[self.evaluator](text)
-            self._matchers[text] = matcher
+            matcher = self._matchers[text] = Matcher(text)
         return matcher
 
     def matches(self, regex: ast.Regex, text: str) -> bool:
@@ -122,63 +62,22 @@ class Examples:
             )
         return matchers
 
-    def _batch_mask(self, regex: ast.Regex, subjects: tuple) -> Optional[int]:
-        """Acceptance bitmask of ``regex`` over ``subjects`` (global cache).
-
-        Bit ``i`` is set iff ``subjects[i]`` matches.  Returns None when the
-        regex is uncompilable, in which case the caller falls back to the
-        per-subject matchers.
-        """
-        key = (regex, subjects)
-        mask = _MEMBERSHIP_MASKS.get(key)
-        if mask is not None:
-            MEMBERSHIP_CACHE_STATS.hits += 1
-            self._batch_hits += 1
-            return mask
-        automaton = membership_automaton(regex)
-        if automaton is None:
-            return None
-        self._batch_misses += 1
-        mask = 0
-        for index, accepted in enumerate(automaton.accepts_batch(subjects)):
-            if accepted:
-                mask |= 1 << index
-        if len(_MEMBERSHIP_MASKS) >= _MAX_MEMBERSHIP_MASKS:
-            with CACHE_LOCK:
-                if len(_MEMBERSHIP_MASKS) >= _MAX_MEMBERSHIP_MASKS:
-                    _MEMBERSHIP_MASKS.clear()
-        return cache_insert(_MEMBERSHIP_MASKS, key, mask)
-
     def consistent(self, regex: ast.Regex) -> bool:
         """True iff the regex accepts every positive and rejects every negative example."""
         return self.accepts_all_positive(regex) and self.rejects_all_negative(regex)
 
     def accepts_all_positive(self, regex: ast.Regex) -> bool:
-        if self._batch_pos:
-            mask = self._batch_mask(regex, self.positive)
-            if mask is not None:
-                return mask == self._full_pos_mask
         return all(matcher.matches(regex) for matcher in self.positive_matchers())
 
     def rejects_all_negative(self, regex: ast.Regex) -> bool:
-        if self._batch_neg:
-            mask = self._batch_mask(regex, self.negative)
-            if mask is not None:
-                return mask == 0
         return not any(matcher.matches(regex) for matcher in self.negative_matchers())
 
     def eval_cache_stats(self) -> Tuple[int, int]:
-        """Aggregate ``(hits, misses)`` of the evaluation caches.
-
-        Covers both the per-node matcher tables and the batched-membership
-        lookups of the compiled evaluator.  The recursive evaluator does not
-        track per-node statistics; its matchers simply contribute zero.
-        """
-        hits = self._batch_hits
-        misses = self._batch_misses
+        """Aggregate ``(hits, misses)`` of the per-subject match-set tables."""
+        hits = misses = 0
         for matcher in self._matchers.values():
-            hits += getattr(matcher, "cache_hits", 0)
-            misses += getattr(matcher, "cache_misses", 0)
+            hits += matcher.cache_hits
+            misses += matcher.cache_misses
         return hits, misses
 
     def extended(
@@ -188,7 +87,6 @@ class Examples:
         return Examples(
             tuple(dict.fromkeys([*self.positive, *extra_positive])),
             tuple(dict.fromkeys([*self.negative, *extra_negative])),
-            evaluator=self.evaluator,
         )
 
     def literal_characters(self) -> str:

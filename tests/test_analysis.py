@@ -7,8 +7,9 @@ it must never produce a wrong "no".  Concretely:
   ``facts.may_match`` (a False is a *proof* of rejection);
 * under side — ``facts.must_match(s)`` implies the evaluator accepts ``s``;
 * mirror property — with ``kmax=None``, a partial the facts reject is also
-  rejected by the Figure-11 approximation (``infeasible``), so the static
-  pre-filter can only ever skip work, never change the search;
+  rejected by the Figure-11 approximation (``infeasible``), so a facts
+  pre-filter in front of the engine's approximation check would only
+  duplicate it;
 * κ mode — with ``kmax=K``, facts must bracket every concrete substitution
   of the symbolic integers in ``[1, K]``.
 
@@ -251,11 +252,10 @@ class TestPartialFacts:
         assert facts_of_partial(PLeaf(regex)) == facts_of_regex(regex)
 
     def test_static_pruned_implies_approximate_pruned(self):
-        # The mirror property that makes the engine pre-filter a pure
-        # optimisation: with kmax=None every fact abstracts the Figure-11
-        # over/under pair, so a facts rejection implies an automata
-        # rejection.  (The engine only uses kmax=max_kappa, which is
-        # tighter, when symbolic integers are enabled — tested separately.)
+        # The mirror property: with kmax=None every fact abstracts the
+        # Figure-11 over/under pair, so a facts rejection implies an
+        # approximation rejection.  (kmax=max_kappa, which is tighter, is
+        # tested separately.)
         examples = Examples(["123456789.12", "1.2"], ["12345", "x"])
         config = SynthesisConfig(
             hole_depth=2, timeout=5.0, use_symbolic_ints=False
@@ -335,35 +335,5 @@ class TestEnginePruneSoundness:
         partial = PLeaf(r.Repeat(r.NUM, 2))  # provably rejects "ab"
         on = SynthesisConfig(hole_depth=2, timeout=5.0)
         assert partial_prune_reason(partial, examples, on) is not None
-        for off in (
-            SynthesisConfig(hole_depth=2, timeout=5.0, use_static_analysis=False),
-            SynthesisConfig(hole_depth=2, timeout=5.0, use_approximation=False),
-        ):
-            assert partial_prune_reason(partial, examples, off) is None
-
-    def test_same_solution_with_and_without_analysis(self):
-        # The pre-filter must not change what the engine finds — only how
-        # much work the match-set evaluator does on the way.
-        from repro.synthesis import Synthesizer
-
-        sketch = parse_sketch("Concat(Hole(<cap>),Hole(<num>))")
-        examples = Examples(["AB12", "XY99"], ["AB1", "ab12"])
-        with_analysis = Synthesizer(
-            SynthesisConfig(hole_depth=2, timeout=10.0)
-        ).synthesize(sketch, examples)
-        without = Synthesizer(
-            SynthesisConfig(hole_depth=2, timeout=10.0, use_static_analysis=False)
-        ).synthesize(sketch, examples)
-        assert with_analysis.solved and without.solved
-        assert with_analysis.regexes == without.regexes
-        assert with_analysis.static_prune_misses > 0
-
-    def test_counters_flow_into_result(self):
-        from repro.synthesis import Synthesizer
-
-        sketch = parse_sketch("Concat(Hole(<num>),Hole(<.>))")
-        examples = Examples(["1.", "2."], ["1", "."])
-        result = Synthesizer(
-            SynthesisConfig(hole_depth=2, timeout=10.0)
-        ).synthesize(sketch, examples)
-        assert result.static_prune_hits + result.static_prune_misses > 0
+        off = SynthesisConfig(hole_depth=2, timeout=5.0, use_approximation=False)
+        assert partial_prune_reason(partial, examples, off) is None

@@ -10,6 +10,7 @@ from repro.dsl import (
     And,
     Concat,
     Contains,
+    Epsilon,
     KleeneStar,
     LET,
     NUM,
@@ -95,6 +96,15 @@ class TestCompiledRegex:
         assert compiled.accepts("abc-")
         assert not compiled.accepts("ab1")
         assert not compiled.accepts("")
+
+    def test_optional_over_reenterable_fragment(self):
+        # Not(StartsWith(Epsilon())) is the empty language; its embedded
+        # complement DFA can return to its entry state after consuming
+        # input.  Optional's empty-string bypass must use fresh states, or
+        # "a" leaks out through the bypass.
+        compiled = compile_regex(Optional(Not(StartsWith(Epsilon()))))
+        assert compiled.accepts("")
+        assert not compiled.accepts("a")
 
     def test_empty_language_detection(self):
         compiled = compile_regex(And(NUM, LET))

@@ -46,6 +46,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Repeat(NUM, True)
 
+    def test_bool_count_rejected_while_equal_int_node_is_interned(self):
+        # True == 1 and hash(True) == hash(1): the intern table's fast probe
+        # must not hand back the live Repeat(<num>,1) for Repeat(<num>,True).
+        one = Repeat(NUM, 1)
+        with pytest.raises(ValueError):
+            Repeat(NUM, True)
+        assert one.count == 1
+
     def test_repeat_range_ordering(self):
         with pytest.raises(ValueError):
             RepeatRange(NUM, 3, 1)

@@ -1,14 +1,13 @@
 """Differential property tests for the evaluation layer.
 
 The match-set evaluator (:class:`repro.dsl.semantics.Matcher`), the original
-recursive matcher (:class:`repro.dsl.semantics.RecursiveMatcher`), the
-compiled-membership evaluator (:class:`repro.dsl.semantics.DfaMatcher` over
-:mod:`repro.automata.membership`), and the standalone automata backend
-(:mod:`repro.automata`) implement the same Figure-6 semantics four different
-ways; random regexes and subjects must never tell them apart.  The three-way
-suite at the bottom is hypothesis-driven and compares *end-position masks*,
-not just booleans, so a compiled automaton that is right about full matches
-but wrong about prefixes still fails.
+recursive matcher (:class:`repro.dsl.semantics.RecursiveMatcher`), and the
+automata backend (:func:`repro.automata.compile_regex`) implement the same
+Figure-6 semantics three different ways; random regexes and subjects must
+never tell them apart.  The three-way suite at the bottom is
+hypothesis-driven and also compares *end-position masks*, not just
+booleans, so an evaluator that is right about full matches but wrong about
+inner spans still fails.
 """
 
 import random
@@ -16,9 +15,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.automata import compile_regex, membership_automaton
+from repro.automata import compile_regex
 from repro.dsl import ast as r
-from repro.dsl.semantics import DfaMatcher, Matcher, RecursiveMatcher
+from repro.dsl.semantics import Matcher, RecursiveMatcher
 
 SEED = 20260730
 SUBJECT_ALPHABET = "aA1. -b9,"
@@ -164,7 +163,6 @@ class TestKnownTrickyCases:
     def test_case(self, regex, subject, expected):
         assert Matcher(subject).matches(regex) == expected
         assert RecursiveMatcher(subject).matches(regex) == expected
-        assert DfaMatcher(subject).matches(regex) == expected
         assert compile_regex(regex, extra_chars=subject).accepts(subject) == expected
 
 
@@ -212,23 +210,35 @@ _H_REGEXES = st.recursive(
 _H_SUBJECTS = st.text(alphabet="aA1.b ", max_size=6)
 
 
+def _end_masks(regex: r.Regex, subject: str) -> list:
+    """The match-set table of ``regex`` over ``subject``, from its DFA.
+
+    Row ``i`` has bit ``j`` set iff the compiled automaton accepts
+    ``subject[i:j]`` — the same shape as :meth:`Matcher.match_sets`.
+    """
+    compiled = compile_regex(regex, extra_chars=subject)
+    n = len(subject)
+    return [
+        sum(1 << j for j in range(i, n + 1) if compiled.accepts(subject[i:j]))
+        for i in range(n + 1)
+    ]
+
+
 class TestThreeWayDifferential:
     @given(_H_REGEXES, _H_SUBJECTS)
     @settings(max_examples=200, deadline=None)
     def test_recursive_matchset_dfa_agree(self, regex, subject):
         expected = RecursiveMatcher(subject).matches(regex)
         assert Matcher(subject).matches(regex) == expected, (regex, subject)
-        assert DfaMatcher(subject).matches(regex) == expected, (regex, subject)
+        compiled = compile_regex(regex, extra_chars=subject)
+        assert compiled.accepts(subject) == expected, (regex, subject)
 
     @given(_H_REGEXES, _H_SUBJECTS)
     @settings(max_examples=150, deadline=None)
     def test_end_masks_equal_match_sets(self, regex, subject):
-        # The compiled automaton must agree with the match-set evaluator on
+        # The automata backend must agree with the match-set evaluator on
         # *every* (start, end) span, not just the full-string verdict.
-        automaton = membership_automaton(regex)
-        if automaton is None:  # uncompilable shapes fall back, nothing to pin
-            return
-        assert automaton.end_masks(subject) == Matcher(subject).match_sets(regex), (
+        assert _end_masks(regex, subject) == Matcher(subject).match_sets(regex), (
             regex,
             subject,
         )
@@ -241,8 +251,8 @@ class TestThreeWayDifferential:
     @settings(max_examples=100, deadline=None)
     def test_kappa_bearing_repeats_agree(self, count, body, subject):
         # The Repeat family is where symbolic integers (κ) land once
-        # InferConstants picks a model; the compiled path must agree with
-        # both oracles for every concrete instantiation.
+        # InferConstants picks a model; the match-set evaluator must agree
+        # with both oracles for every concrete instantiation.
         for regex in (
             r.Repeat(body, count),
             r.RepeatAtLeast(body, count),
@@ -250,12 +260,13 @@ class TestThreeWayDifferential:
         ):
             expected = RecursiveMatcher(subject).matches(regex)
             assert Matcher(subject).matches(regex) == expected, (regex, subject)
-            assert DfaMatcher(subject).matches(regex) == expected, (regex, subject)
+            compiled = compile_regex(regex, extra_chars=subject)
+            assert compiled.accepts(subject) == expected, (regex, subject)
 
     @pytest.mark.parametrize(
         "regex,subject,expected",
         [
-            # Empty string versus empty language, in every evaluator.
+            # Empty string versus empty language, in every implementation.
             (r.Epsilon(), "", True),
             (r.Epsilon(), "a", False),
             (r.EmptySet(), "", False),
@@ -273,4 +284,4 @@ class TestThreeWayDifferential:
     def test_empty_edge_cases(self, regex, subject, expected):
         assert RecursiveMatcher(subject).matches(regex) == expected
         assert Matcher(subject).matches(regex) == expected
-        assert DfaMatcher(subject).matches(regex) == expected
+        assert compile_regex(regex, extra_chars=subject).accepts(subject) == expected

@@ -938,69 +938,6 @@ class TestShutdownOrdering:
         state.close()  # SIGTERM handler + finally block may both call it
 
 
-class TestWarmCompiledArtifacts:
-    def test_second_request_reuses_compiled_automata(self, tmp_path):
-        # The compiled-membership caches are process-global, keyed by
-        # interned regexes: a warm worker answering the same problem again
-        # must draw on cached automata (nonzero dfa_cache_hits) and compile
-        # nothing new.  The result cache is disabled so the second request
-        # genuinely re-runs the engine instead of replaying a stored report.
-        problem = Problem(
-            "digits dash digits",
-            positive=["12-34", "99-01"],
-            negative=["1234", "12-", "ab-cd"],
-            budget=10.0,
-            sketches=["Concat(Hole(<num>),Concat(<->,Hole(<num>)))"],
-        )
-        config = ServiceConfig(
-            port=0, workers=1, cache_backend="null", cache_path=str(tmp_path)
-        )
-        state = ServiceState(config)
-        try:
-            body = problem.to_json().encode()
-            status, first = state.handle_solve(body)
-            assert status == 200 and first["solved"], first
-            assert first["provenance"] == "engine"
-            status, second = state.handle_solve(body)
-            assert status == 200 and second["solved"], second
-            assert second["provenance"] == "engine"
-            warm = RunReport.from_dict(second)
-            assert warm.total_dfa_cache_hits > 0
-            assert warm.total_dfa_compiled == 0, (
-                "warm request recompiled automata",
-                second["sketches"],
-            )
-        finally:
-            state.close()
-
-    def test_matchset_evaluator_reports_no_dfa_activity(self, tmp_path):
-        # The differential baselines must stay honest: a service configured
-        # with the match-set evaluator never touches the compiled caches.
-        config = ServiceConfig(
-            port=0,
-            workers=1,
-            cache_backend="null",
-            cache_path=str(tmp_path),
-            evaluator="matchset",
-        )
-        state = ServiceState(config)
-        try:
-            status, report = state.handle_solve(FAST_PROBLEM.to_json().encode())
-            assert status == 200 and report["solved"], report
-            parsed = RunReport.from_dict(report)
-            assert parsed.total_dfa_cache_hits == 0
-            assert parsed.total_dfa_compiled == 0
-        finally:
-            state.close()
-
-    def test_unknown_evaluator_is_rejected_at_startup(self, tmp_path):
-        config = ServiceConfig(
-            port=0, cache_backend="null", cache_path=str(tmp_path), evaluator="nope"
-        )
-        with pytest.raises(ValueError, match="unknown evaluator"):
-            ServiceState(config)
-
-
 class TestCorpusIngestCliResume:
     def test_resume_reingests_stranded_queued_items(
         self, batch_server, tmp_path, capsys

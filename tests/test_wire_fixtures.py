@@ -11,6 +11,10 @@ The fixtures under ``tests/fixtures/`` are committed renderings of the
   backward-compat test proves new code still reads it, with the new fields
   taking their documented defaults — so future telemetry fields must stay
   optional-with-default too.
+* ``run_report_v1_retired_counters.json`` — ``run_report_v1.json`` as it was
+  written while reports still carried the counters of the retired static
+  pre-filter and compiled-membership evaluator (``static_prune_*``,
+  ``dfa_*``).  It must still load, and reads back as the current fixture.
 * ``batch_v1.json`` — a persisted :class:`~repro.service.BatchRecord` as the
   batch-ingestion endpoint writes it.  Records outlive server processes (that
   is their whole point), so the on-disk shape is a compatibility surface just
@@ -75,9 +79,6 @@ class TestRunReportGolden:
         assert report.total_expansions == 430
         assert report.total_eval_cache_hits == 3000
         assert report.total_solver_propagations == 60
-        assert report.total_dfa_cache_hits == 2450
-        assert report.total_dfa_compiled == 87
-        assert report.total_dfa_compile_ms == 11.0
         assert report.provenance == "engine"
 
 
@@ -92,9 +93,14 @@ class TestBackwardCompat:
         assert sketch.eval_cache_hits == 0
         assert sketch.solver_propagations == 0
         assert sketch.encode_cache_hits == 0
-        assert sketch.dfa_cache_hits == 0
-        assert sketch.dfa_compiled == 0
-        assert sketch.dfa_compile_ms == 0.0
+
+    def test_report_with_retired_counters_loads_and_drops_them(self):
+        # Reports cached or persisted before the counters were retired carry
+        # extra sketch keys; from_dict ignores them and nothing re-emits them.
+        old = _load("run_report_v1_retired_counters.json")
+        assert "dfa_compiled" in old["sketches"][0]
+        report = RunReport.from_dict(old)
+        assert report.to_dict() == _load("run_report_v1.json")
 
     def test_legacy_report_round_trips_to_current_schema(self):
         report = RunReport.from_dict(_load("run_report_v0_legacy.json"))
