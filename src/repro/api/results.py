@@ -10,7 +10,7 @@ telemetry.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.api.problem import Problem
@@ -105,39 +105,32 @@ class SketchReport:
     dfa_compiled = 0
     dfa_compile_ms = 0.0
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "index": self.index,
-            "sketch": self.sketch,
-            "expansions": self.expansions,
-            "pruned": self.pruned,
-            "elapsed": self.elapsed,
-            "solved": self.solved,
-            "timed_out": self.timed_out,
-            "eval_cache_hits": self.eval_cache_hits,
-            "eval_cache_misses": self.eval_cache_misses,
-            "approx_cache_hits": self.approx_cache_hits,
-            "solver_propagations": self.solver_propagations,
-            "solver_conflicts": self.solver_conflicts,
-            "encode_cache_hits": self.encode_cache_hits,
+    @classmethod
+    def from_result(cls, index: int, sketch: str, result: Any) -> "SketchReport":
+        """The report of one engine run, its counters copied by field name.
+
+        ``result`` is the run's :class:`~repro.synthesis.engine.SynthesisResult`;
+        every field but ``index`` and ``sketch`` is read from it.
+        """
+        counters = {
+            f.name: getattr(result, f.name)
+            for f in fields(cls)
+            if f.name not in ("index", "sketch")
         }
+        return cls(index=index, sketch=sketch, **counters)
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SketchReport":
+        # Fields without a default are required; counters added later
+        # default to zero so older reports still load.
         return cls(
-            index=data["index"],
-            sketch=data["sketch"],
-            expansions=data["expansions"],
-            pruned=data["pruned"],
-            elapsed=data["elapsed"],
-            solved=data["solved"],
-            timed_out=data["timed_out"],
-            eval_cache_hits=data.get("eval_cache_hits", 0),
-            eval_cache_misses=data.get("eval_cache_misses", 0),
-            approx_cache_hits=data.get("approx_cache_hits", 0),
-            solver_propagations=data.get("solver_propagations", 0),
-            solver_conflicts=data.get("solver_conflicts", 0),
-            encode_cache_hits=data.get("encode_cache_hits", 0),
+            **{
+                f.name: data[f.name] if f.default is MISSING else data.get(f.name, f.default)
+                for f in fields(cls)
+            }
         )
 
 

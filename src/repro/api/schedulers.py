@@ -7,10 +7,9 @@ semantics under an explicit policy; each is a generator that yields
 :class:`Finished` events (per-sketch telemetry), so consumers can stream
 results before the budget elapses:
 
-* :class:`SequentialScheduler` — one engine after another.  By default each
-  sketch gets a *fair* slice ``min(per_sketch_cap, remaining)`` of the shared
-  budget; ``fair=False`` restores the historical greedy behaviour in which a
-  pathological first sketch can eat nearly the whole budget,
+* :class:`SequentialScheduler` — one engine after another; each sketch gets
+  a *fair* slice ``min(per_sketch_cap, remaining)`` of the shared budget, so
+  a pathological first sketch cannot eat the whole budget,
 * :class:`InterleavedScheduler` — round-robin time slices over resumable
   :class:`~repro.synthesis.engine.SynthesisRun` instances: the paper's
   parallel semantics in a single process, with anytime behaviour,
@@ -23,7 +22,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Iterator, List, Optional, Protocol, Sequence, Union, runtime_checkable
 
 from repro.dsl import ast as rast
@@ -89,18 +88,15 @@ class Scheduler(Protocol):
 class SequentialScheduler:
     """Run one engine per sketch, in rank order, against the shared budget.
 
-    ``fair=True`` (the default) gives each sketch the slice
-    ``min(per_sketch_cap, remaining)``; unused time flows to later sketches
-    because the cap is recomputed as ``remaining / sketches_left``.  An
-    explicit ``per_sketch_cap`` fixes the cap instead.  ``fair=False``
-    restores the historical behaviour (``min(engine_timeout, remaining)``),
-    in which one pathological sketch can consume nearly the whole budget.
+    Each sketch gets the slice ``min(per_sketch_cap, remaining)``; unused
+    time flows to later sketches because the cap is recomputed as
+    ``remaining / sketches_left``.  An explicit ``per_sketch_cap`` fixes the
+    cap instead.
     """
 
     name = "sequential"
 
-    def __init__(self, fair: bool = True, per_sketch_cap: Optional[float] = None):
-        self.fair = fair
+    def __init__(self, per_sketch_cap: Optional[float] = None):
         self.per_sketch_cap = per_sketch_cap
 
     def run(
@@ -117,15 +113,12 @@ class SequentialScheduler:
             remaining = deadline - time.monotonic()
             if remaining <= 0 or cancel.cancelled:
                 break
-            if self.fair:
-                cap = (
-                    self.per_sketch_cap
-                    if self.per_sketch_cap is not None
-                    else remaining / (total - position)
-                )
-                slice_budget = min(cap, remaining, config.timeout)
-            else:
-                slice_budget = min(config.timeout, remaining)
+            cap = (
+                self.per_sketch_cap
+                if self.per_sketch_cap is not None
+                else remaining / (total - position)
+            )
+            slice_budget = min(cap, remaining, config.timeout)
             run = Synthesizer(config).start(sketch, examples)
             result = run.step(slice_budget)
             if not run.done:
@@ -221,19 +214,9 @@ def _solve_sketch_worker(
         parse_sketch(sketch_text),
         Examples(positive, negative),
     )
-    return {
-        "regexes": [to_dsl_string(regex) for regex in result.regexes],
-        "timed_out": result.timed_out,
-        "expansions": result.expansions,
-        "pruned": result.pruned,
-        "elapsed": result.elapsed,
-        "eval_cache_hits": result.eval_cache_hits,
-        "eval_cache_misses": result.eval_cache_misses,
-        "approx_cache_hits": result.approx_cache_hits,
-        "solver_propagations": result.solver_propagations,
-        "solver_conflicts": result.solver_conflicts,
-        "encode_cache_hits": result.encode_cache_hits,
-    }
+    payload = {f.name: getattr(result, f.name) for f in fields(result)}
+    payload["regexes"] = [to_dsl_string(regex) for regex in result.regexes]
+    return payload
 
 
 class ProcessPoolScheduler:
@@ -299,19 +282,8 @@ class ProcessPoolScheduler:
                             index, sketch_to_string(sketch), SynthesisResult(timed_out=True)
                         )
                         continue
-                    result = SynthesisResult(
-                        regexes=[parse_regex(text) for text in payload["regexes"]],
-                        timed_out=payload["timed_out"],
-                        expansions=payload["expansions"],
-                        pruned=payload["pruned"],
-                        elapsed=payload["elapsed"],
-                        eval_cache_hits=payload.get("eval_cache_hits", 0),
-                        eval_cache_misses=payload.get("eval_cache_misses", 0),
-                        approx_cache_hits=payload.get("approx_cache_hits", 0),
-                        solver_propagations=payload.get("solver_propagations", 0),
-                        solver_conflicts=payload.get("solver_conflicts", 0),
-                        encode_cache_hits=payload.get("encode_cache_hits", 0),
-                    )
+                    payload["regexes"] = [parse_regex(text) for text in payload["regexes"]]
+                    result = SynthesisResult(**payload)
                     for regex in result.regexes:
                         yield Found(index, regex)
                     yield Finished(index, sketch_to_string(sketch), result)

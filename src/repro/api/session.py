@@ -107,23 +107,8 @@ class Session:
                         # still reports telemetry for in-flight sketches).
                         cancel.cancel()
                 else:
-                    result = event.result
                     report.sketches.append(
-                        SketchReport(
-                            index=event.index,
-                            sketch=event.sketch,
-                            expansions=result.expansions,
-                            pruned=result.pruned,
-                            elapsed=result.elapsed,
-                            solved=result.solved,
-                            timed_out=result.timed_out,
-                            eval_cache_hits=result.eval_cache_hits,
-                            eval_cache_misses=result.eval_cache_misses,
-                            approx_cache_hits=result.approx_cache_hits,
-                            solver_propagations=result.solver_propagations,
-                            solver_conflicts=result.solver_conflicts,
-                            encode_cache_hits=result.encode_cache_hits,
-                        )
+                        SketchReport.from_result(event.index, event.sketch, event.result)
                     )
         except GeneratorExit:
             # The consumer closed the stream: cancel cooperatively.

@@ -89,12 +89,6 @@ def _add_scheduler_arguments(parser: argparse.ArgumentParser) -> None:
         default="sequential",
         help="how engine instances share the time budget",
     )
-    parser.add_argument(
-        "--greedy-budget",
-        action="store_true",
-        help="sequential scheduler only: restore the historical policy in which "
-        "one pathological sketch may consume nearly the whole budget",
-    )
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -299,10 +293,7 @@ def _make_session(
     static_sketches: Sequence[str] = (),
     config: Optional[SynthesisConfig] = None,
 ) -> Session:
-    if args.scheduler == "sequential":
-        scheduler = make_scheduler("sequential", fair=not args.greedy_budget)
-    else:
-        scheduler = make_scheduler(args.scheduler)
+    scheduler = make_scheduler(args.scheduler)
     if getattr(args, "pbe_only", False):
         provider = PbeOnlyProvider()
     elif static_sketches:

@@ -10,6 +10,7 @@ and are only topped up.
 from __future__ import annotations
 
 import random
+import zlib
 from typing import Optional
 
 from repro.automata.sampling import sample_negative, sample_positive
@@ -28,7 +29,7 @@ def attach_examples(
     The defaults (4 positive, 5 negative) match the per-benchmark averages the
     paper reports for the adapted DeepRegex dataset.
     """
-    rng = rng or random.Random(hash(benchmark.benchmark_id) & 0xFFFF)
+    rng = rng or random.Random(zlib.crc32(benchmark.benchmark_id.encode()))
     regex = benchmark.regex
     positive = list(benchmark.positive)
     negative = list(benchmark.negative)

@@ -3,7 +3,7 @@
 The service's hot paths call :func:`fault_point` with a stable name
 (``"cache.read"``, ``"pool.job"``, ...).  With no plan armed — the production
 default — the call is a single global load and a ``None`` check, measured in
-nanoseconds (pinned by the ``fault_overhead`` benchmark).  With a plan armed
+nanoseconds (a test pins it under 1% of a cached hit).  With a plan armed
 (``REPRO_FAULTS`` in the environment, or :func:`configure` from a test), the
 point consults its rule and either raises :class:`InjectedFault`, stalls for
 a bounded ``hang``, or falls through.

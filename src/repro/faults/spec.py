@@ -151,7 +151,7 @@ def parse_spec(text: str) -> FaultSpec:
 
     An empty (or all-whitespace) string parses to a spec with no rules —
     an *armed but silent* plan, useful for counting fault-point traversals
-    without ever firing (the ``fault_overhead`` benchmark does this).
+    without ever firing (the fault-overhead test does this).
     """
     seed = 0
     rules: Dict[str, FaultRule] = {}

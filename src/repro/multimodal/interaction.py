@@ -12,6 +12,7 @@ returned nothing) — exactly the clarifying examples a user would add.
 from __future__ import annotations
 
 import random
+import zlib
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
@@ -72,7 +73,7 @@ def run_interactive(
     regexes plus the elapsed time; correctness is judged by language
     equivalence with the benchmark's gold regex (the "intended regex").
     """
-    rng = rng or random.Random(hash(benchmark.benchmark_id) & 0xFFFF)
+    rng = rng or random.Random(zlib.crc32(benchmark.benchmark_id.encode()))
     gold = benchmark.regex
     positive = list(benchmark.positive)
     negative = list(benchmark.negative)

@@ -99,10 +99,7 @@ class Regel:
         self.num_sketches = num_sketches
         self.variant = variant
         #: Portfolio policy.  The default interleaved scheduler reproduces the
-        #: paper's run-one-engine-per-sketch-in-parallel semantics in-process;
-        #: pass ``SequentialScheduler(fair=False)`` for the historical
-        #: sequential behaviour in which one pathological sketch could consume
-        #: nearly the entire shared budget.
+        #: paper's run-one-engine-per-sketch-in-parallel semantics in-process.
         self.scheduler = scheduler if scheduler is not None else InterleavedScheduler()
 
     def synthesize(

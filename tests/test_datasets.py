@@ -1,5 +1,11 @@
 """Tests for the benchmark datasets (generation, loading, example consistency)."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.datasets import (
@@ -39,6 +45,46 @@ class TestBenchmarkRecord:
         regex = enriched.regex
         assert all(matches(regex, s) for s in enriched.positive)
         assert not any(matches(regex, s) for s in enriched.negative)
+
+
+#: Samples examples for ``stackoverflow-000`` with its examples stripped, once
+#: through ``attach_examples`` and once through the interactive protocol
+#: (whose solver returns nothing, so every round samples the gold language),
+#: both with their default RNG; prints everything sampled as JSON.
+_DEFAULT_SEED_SCRIPT = """
+import json
+from repro.datasets import attach_examples, stackoverflow_dataset
+from repro.multimodal import run_interactive
+
+task = stackoverflow_dataset(with_examples=False, limit=1)[0].with_examples((), ())
+enriched = attach_examples(task)
+rounds = []
+
+def solve(positive, negative):
+    rounds.append([list(positive), list(negative)])
+    return [], 0.0
+
+run_interactive(task, solve, max_iterations=2)
+print(json.dumps([enriched.positive, enriched.negative, rounds]))
+"""
+
+
+def _sample_under_hash_seed(hash_seed: str) -> list:
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    done = subprocess.run(
+        [sys.executable, "-c", _DEFAULT_SEED_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return json.loads(done.stdout)
+
+
+def test_default_example_sampling_is_independent_of_the_hash_seed():
+    """Default RNGs are seeded from the benchmark id, not from ``hash()``."""
+    first = _sample_under_hash_seed("1")
+    assert first[0] and first[1] and len(first[2]) == 3
+    assert _sample_under_hash_seed("2") == first
 
 
 class TestDeepRegexGeneration:

@@ -1,5 +1,6 @@
 """Tests for the deterministic fault-injection subsystem (``repro.faults``)."""
 
+import json
 import time
 
 import pytest
@@ -161,6 +162,58 @@ class TestRuntime:
         start = time.monotonic()
         fault_point("x", cancel=Cancelled())
         assert time.monotonic() - start < 1.0
+
+    def test_disarmed_points_cost_under_one_percent_of_a_cached_hit(self, tmp_path):
+        """Dormant points must stay invisible on the service's fastest request.
+
+        An armed-but-silent ``seed=0`` plan counts the points one in-process
+        cached ``/v1/solve`` traverses; their disarmed cost is that count
+        times the per-call cost of a disarmed ``fault_point``.
+        """
+        from repro.service import ServiceConfig, ServiceState
+
+        def fastest(run, repeats):
+            times = []
+            for _ in range(repeats):
+                start = time.perf_counter()
+                run()
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        loop = 100_000
+
+        def disarmed_calls():
+            for _ in range(loop):
+                fault_point("cache.read")
+
+        configure(None)
+        per_call = fastest(disarmed_calls, 3) / loop
+
+        body = json.dumps(
+            {"description": "3 digits", "positive": ["123", "456"],
+             "negative": ["12"], "budget": 10.0}
+        ).encode()
+        state = ServiceState(
+            ServiceConfig(workers=1, cache_backend="json", cache_path=str(tmp_path))
+        )
+
+        def cached_hit():
+            status, hit = state.handle_solve(body)
+            assert status == 200 and hit["provenance"] == "cache", (status, hit)
+
+        try:
+            status, cold = state.handle_solve(body)
+            assert status == 200 and cold["provenance"] == "engine", (status, cold)
+            hit_seconds = fastest(cached_hit, 5)
+            plan = configure("seed=0")
+            cached_hit()
+            calls = sum(point["calls"] for point in plan.stats()["points"].values())
+            assert plan.total_fired() == 0
+        finally:
+            configure(None)
+            state.close()
+        assert calls >= 1
+        assert calls * per_call < 0.01 * hit_seconds, (calls, per_call, hit_seconds)
 
     def test_stats_count_unarmed_points_too(self):
         plan = configure("seed=1;x:nth=1")

@@ -429,6 +429,40 @@ class TestHttpService:
         assert stats["cache"]["backend"] == "json"
 
 
+class TestCacheSpeedup:
+    #: Slow enough cold (seconds of portfolio search for two distinct regexes)
+    #: that the persistent cache's contrast shows in full.
+    SLOW_PROBLEM = Problem(
+        "one or more letters followed by 3 digits",
+        positive=["ab123", "x987"],
+        negative=["123", "ab12", "ab1234"],
+        k=2,
+        budget=15.0,
+    )
+
+    def test_cached_hit_is_ten_times_faster_than_the_cold_solve(self, tmp_path):
+        live = start_server(
+            ServiceConfig(port=0, workers=1, cache_backend="json", cache_path=str(tmp_path))
+        )
+        try:
+            host, port = live.server_address[:2]
+            client = ServiceClient(f"http://{host}:{port}")
+            start = time.perf_counter()
+            cold = client.solve(self.SLOW_PROBLEM)
+            cold_seconds = time.perf_counter() - start
+            assert cold.solved and cold.provenance == "engine"
+            hit_seconds = []
+            for _ in range(3):
+                start = time.perf_counter()
+                hit = client.solve(self.SLOW_PROBLEM)
+                hit_seconds.append(time.perf_counter() - start)
+                assert hit.provenance == "cache"
+            assert client.stats()["cache"]["hits"] == 3
+        finally:
+            live.close()
+        assert 10 * min(hit_seconds) <= cold_seconds, (cold_seconds, hit_seconds)
+
+
 class TestLintEndpoint:
     UNSAT = Problem(
         "impossible", positive=["abc", "12"], negative=["abc"], budget=5.0

@@ -1,16 +1,33 @@
-"""Pins for the two StackOverflow tasks that once took minutes per cold solve.
+"""Machine-speed-independent pins of cold StackOverflow solves.
 
-``stackoverflow-034`` and ``stackoverflow-046`` used to run past two minutes
-at a 50-expansion cap, nearly all of it spent compiling automata for
-membership queries.  Membership is now answered by the match-set evaluator
-alone, so each solve is bounded by its expansion cap (about a second).  The
-tests pin both halves of that: the whole expansion budget is spent, and
-nothing in :mod:`repro.automata` compiles during the solve.
+Every solve here runs under a per-sketch expansion cap with wall-clock
+budgets that never bind, so its outcome and its work are deterministic:
+
+* ``stackoverflow-034`` and ``stackoverflow-046`` used to run past two
+  minutes at a 50-expansion cap, nearly all of it spent compiling automata
+  for membership queries.  Membership is now answered by the match-set
+  evaluator alone, so each solve is bounded by its expansion cap (about a
+  second).  Their tests pin both halves of that: the whole expansion budget
+  is spent, and nothing in :mod:`repro.automata` compiles during the solve.
+* The panel pin solves every tenth task (``stackoverflow-000``, ``-010``, …,
+  ``-060``) with the untrained parser and compares against the golden file
+  ``fixtures/stackoverflow_panel_pin.json``: the ranked solutions and each
+  attempted sketch's ``(index, expansions, pruned)`` exactly, and the summed
+  match-set computations (``eval_cache_misses``) and solver propagations as
+  upper bounds.  Any change to the search order, pruning or constant
+  inference shows up here as a diff; a change that does more work for the
+  same answers shows up as a broken bound.  A deliberate behaviour change
+  regenerates the golden file with ``python tests/test_stackoverflow_pins.py``
+  (from the repository root, with ``src`` on ``PYTHONPATH``) and explains the
+  diff.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
-from repro.api import NlSketchProvider, Problem, Session
+from repro.api import NlSketchProvider, Problem, RunReport, Session
 from repro.automata import compiler
 from repro.datasets import stackoverflow_dataset
 from repro.nlp.sketch_gen import SemanticParser
@@ -21,6 +38,35 @@ from repro.synthesis.config import SynthesisConfig
 UNBOUNDED_SECONDS = 1.0e6
 CAP = 50
 SKETCHES = 25
+K = 3
+
+PANEL_PIN = Path(__file__).parent / "fixtures" / "stackoverflow_panel_pin.json"
+PANEL = [f"stackoverflow-{index:03d}" for index in range(0, 62, 10)]
+
+
+@pytest.fixture(scope="module")
+def tasks():
+    return {benchmark.benchmark_id: benchmark for benchmark in stackoverflow_dataset()}
+
+
+def _solve(task) -> RunReport:
+    session = Session(
+        provider=NlSketchProvider(SemanticParser(), num_sketches=SKETCHES),
+        config=SynthesisConfig(max_expansions=CAP, timeout=UNBOUNDED_SECONDS),
+    )
+    problem = Problem(
+        task.description, task.positive, task.negative, k=K, budget=UNBOUNDED_SECONDS
+    )
+    return session.solve(problem)
+
+
+def _observed(report: RunReport) -> dict:
+    return {
+        "solutions": [solution.regex for solution in report.solutions],
+        "sketches": [[s.index, s.expansions, s.pruned] for s in report.sketches],
+        "eval_cache_misses": sum(s.eval_cache_misses for s in report.sketches),
+        "solver_propagations": sum(s.solver_propagations for s in report.sketches),
+    }
 
 
 def _no_compile(*args, **kwargs):
@@ -28,19 +74,47 @@ def _no_compile(*args, **kwargs):
 
 
 @pytest.mark.parametrize("task_id", ["stackoverflow-034", "stackoverflow-046"])
-def test_cold_solve_spends_its_cap_without_compiling(task_id, monkeypatch):
+def test_cold_solve_spends_its_cap_without_compiling(task_id, tasks, monkeypatch):
     # Building the dataset samples its examples on the automata backend, so
     # compilation is closed only after it is loaded.  Every automaton the
     # package builds starts from ``_Builder.build``.
-    task = next(b for b in stackoverflow_dataset() if b.benchmark_id == task_id)
     monkeypatch.setattr(compiler._Builder, "build", _no_compile)
-    session = Session(
-        provider=NlSketchProvider(SemanticParser(), num_sketches=SKETCHES),
-        config=SynthesisConfig(max_expansions=CAP, timeout=UNBOUNDED_SECONDS),
-    )
-    problem = Problem(
-        task.description, task.positive, task.negative, k=3, budget=UNBOUNDED_SECONDS
-    )
-    report = session.solve(problem)
+    report = _solve(tasks[task_id])
     assert len(report.sketches) == SKETCHES
     assert report.total_expansions == SKETCHES * CAP
+
+
+@pytest.mark.parametrize("task_id", PANEL)
+def test_panel_behaviour_and_work_are_pinned(task_id, tasks):
+    golden = json.loads(PANEL_PIN.read_text(encoding="utf-8"))[task_id]
+    observed = _observed(_solve(tasks[task_id]))
+    assert observed["solutions"] == golden["solutions"]
+    assert len(observed["sketches"]) == SKETCHES
+    assert observed["sketches"] == golden["sketches"]
+    assert observed["eval_cache_misses"] <= golden["eval_cache_misses"]
+    assert observed["solver_propagations"] <= golden["solver_propagations"]
+
+
+def _write_panel_pin() -> None:
+    """Regenerate the golden file, one line per five sketches."""
+    everything = {b.benchmark_id: b for b in stackoverflow_dataset()}
+    blocks = []
+    for task_id in PANEL:
+        observed = _observed(_solve(everything[task_id]))
+        triples = [json.dumps(triple) for triple in observed["sketches"]]
+        rows = ",\n      ".join(
+            ", ".join(triples[start:start + 5]) for start in range(0, len(triples), 5)
+        )
+        blocks.append(
+            f'  "{task_id}": {{\n'
+            f'    "solutions": {json.dumps(observed["solutions"])},\n'
+            f'    "sketches": [\n      {rows}\n    ],\n'
+            f'    "eval_cache_misses": {observed["eval_cache_misses"]},\n'
+            f'    "solver_propagations": {observed["solver_propagations"]}\n'
+            "  }"
+        )
+    PANEL_PIN.write_text("{\n" + ",\n".join(blocks) + "\n}\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    _write_panel_pin()

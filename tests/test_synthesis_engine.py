@@ -1,9 +1,12 @@
 """End-to-end tests for the PBE engine: encoding, InferConstants, and search."""
 
+import time
+
 import pytest
 
 from repro.dsl import (
     Concat,
+    LET,
     NUM,
     Optional,
     Repeat,
@@ -29,6 +32,13 @@ from repro.synthesis import (
 )
 from repro.solver.terms import substitute, var_names
 from repro.solver.solver import _evaluate  # type: ignore
+
+#: Section 2's motivating example: decimal(18,3).
+SECTION2_POSITIVES = ["123456789.123", "123456789123456.12", "12345.1", "123456789123456"]
+SECTION2_NEGATIVES = ["1234567891234567", "123.1234", "1.12345", ".1234"]
+#: Wall-clock ceiling on top of the exact work-unit pins below: loose enough
+#: for a shared CI runner, tight enough to catch a slowdown of several times.
+SECONDS_CEILING = 1.0
 
 
 class TestEncoding:
@@ -110,6 +120,49 @@ class TestInferConstants:
             "Concat(RepeatRange(<num>,1,15),Optional(Concat(<.>,RepeatRange(<num>,1,3))))"
         ) for c in consistent)
 
+    def test_section2_candidates_are_pinned(self):
+        """One symbolic integer (Figure 14): exactly 7 candidates."""
+        partial = POp(
+            "Concat",
+            (
+                POp("RepeatRange", (PLeaf(NUM),), (1, SymInt("k1"))),
+                PLeaf(Optional(Concat(literal("."), RepeatRange(NUM, 1, 3)))),
+            ),
+        )
+        examples = Examples(SECTION2_POSITIVES, SECTION2_NEGATIVES)
+        start = time.perf_counter()
+        candidates = infer_constants(partial, examples, SynthesisConfig(hole_depth=2))
+        assert time.perf_counter() - start < SECONDS_CEILING
+        assert len(candidates) == 7
+
+    def test_three_symbolic_integers_candidates_are_pinned(self):
+        """Blocking clauses over three κ at once: exactly 3 candidates."""
+        partial = POp(
+            "Concat",
+            (
+                POp("Repeat", (PLeaf(NUM),), (SymInt("k1"),)),
+                POp(
+                    "Concat",
+                    (
+                        PLeaf(literal("-")),
+                        POp(
+                            "Concat",
+                            (
+                                POp("RepeatRange", (PLeaf(LET),), (1, SymInt("k2"))),
+                                POp("RepeatAtLeast", (PLeaf(NUM),), (SymInt("k3"),)),
+                            ),
+                        ),
+                    ),
+                ),
+            ),
+        )
+        examples = Examples(["12-ab12", "12-abc1", "12-a123"], ["1-ab12", "12-123", "12-abcd"])
+        config = SynthesisConfig(hole_depth=2, max_kappa=8, max_models_per_symbolic=8)
+        start = time.perf_counter()
+        candidates = infer_constants(partial, examples, config)
+        assert time.perf_counter() - start < SECONDS_CEILING
+        assert len(candidates) == 3
+
 
 def _to_regex(partial):
     from repro.synthesis import to_regex
@@ -154,19 +207,23 @@ class TestSynthesizer:
         assert not matches(regex, "zz5")
 
     def test_motivating_example_with_good_sketch(self):
-        """Section 2 end-to-end: decimal(18,3) from the Eq. (1)-style sketch."""
+        """Section 2 end-to-end: decimal(18,3) from the Eq. (1)-style sketch.
+
+        The search order is deterministic, so its work is pinned exactly.
+        """
         sketch = parse_sketch(
             "Concat(Hole(RepeatRange(<num>,1,15)),"
             "Hole(Optional(Concat(<.>,RepeatRange(<num>,1,3)))))"
         )
-        positives = ["123456789.123", "123456789123456.12", "12345.1", "123456789123456"]
-        negatives = ["1234567891234567", "123.1234", "1.12345", ".1234"]
         config = SynthesisConfig(hole_depth=2, timeout=15.0)
-        result = synthesize(sketch, positives, negatives, config=config)
+        start = time.perf_counter()
+        result = synthesize(sketch, SECTION2_POSITIVES, SECTION2_NEGATIVES, config=config)
+        assert time.perf_counter() - start < SECONDS_CEILING
         assert result.solved
+        assert (result.expansions, result.pruned) == (660, 511)
         regex = result.best
-        assert all(matches(regex, p) for p in positives)
-        assert not any(matches(regex, n) for n in negatives)
+        assert all(matches(regex, p) for p in SECTION2_POSITIVES)
+        assert not any(matches(regex, n) for n in SECTION2_NEGATIVES)
 
     def test_timeout_respected(self):
         config = SynthesisConfig(hole_depth=4, timeout=0.2)

@@ -24,6 +24,8 @@ The fixtures under ``tests/fixtures/`` are committed renderings of the
 import json
 import pathlib
 
+import pytest
+
 from repro.api import Problem, RunReport
 from repro.dsl.parser import parse_regex
 
@@ -107,6 +109,15 @@ class TestBackwardCompat:
         upgraded = RunReport.from_json(report.to_json())
         assert upgraded.solutions[0].regex == "Repeat(<num>,3)"
         assert upgraded.to_dict()["provenance"] == "engine"
+
+    @pytest.mark.parametrize(
+        "key", ["index", "sketch", "expansions", "pruned", "elapsed", "solved", "timed_out"]
+    )
+    def test_sketch_report_missing_a_required_key_is_rejected(self, key):
+        data = _load("run_report_v0_legacy.json")
+        del data["sketches"][0][key]
+        with pytest.raises(KeyError):
+            RunReport.from_dict(data)
 
     def test_current_report_fields_are_superset_of_legacy(self):
         # A field present in the legacy fixture must still exist today:
