@@ -291,7 +291,7 @@ def facts_of_partial(
     ``[1, K]`` (sound for the engine, which never instantiates beyond
     ``SynthesisConfig.max_kappa``).
     """
-    # The memo lives *on* the interned node (the `_hash` precedent): an
+    # The memo lives *on* the interned node (like the approximation memo): an
     # attribute read is an order of magnitude cheaper than a weak-dict
     # lookup, and the entry dies with the node exactly like a weak-keyed
     # one would.  Mutations are single atomic bytecodes on a plain dict, so

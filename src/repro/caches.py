@@ -32,6 +32,7 @@ from __future__ import annotations
 import os
 import threading
 import weakref
+from _weakref import _remove_dead_weakref  # type: ignore[attr-defined]
 from typing import Any, Dict, MutableMapping, TypeVar
 
 K = TypeVar("K")
@@ -106,18 +107,33 @@ class GuardedWeakKeyDictionary(weakref.WeakKeyDictionary):
         super().__delitem__(key)
 
 
-class GuardedWeakValueDictionary(weakref.WeakValueDictionary):
-    """A weak-value cache (intern-table shape) that detects unsynchronised mutation."""
+class WeakEntry(weakref.ref):
+    """A weak reference that carries its table key: one intern-table entry."""
 
-    def __setitem__(self, key: Any, value: Any) -> None:
-        if _SANITIZE:
-            assert_synchronized()
-        super().__setitem__(key, value)
+    __slots__ = ("key",)
 
-    def __delitem__(self, key: Any) -> None:
-        if _SANITIZE:
-            assert_synchronized()
-        super().__delitem__(key)
+
+class GuardedWeakValueDictionary(GuardedDict):
+    """A flat weak-value table (intern-table shape) that detects unsynchronised mutation.
+
+    Each key maps to a :class:`WeakEntry` for its value, never to the value
+    itself, so the table keeps nothing alive.  Build entries as
+    ``entry = WeakEntry(value, table.remove); entry.key = key``: all entries
+    of a table share its one cleanup callback :attr:`remove`, which runs
+    when a value dies and deletes the key only while it still maps to a dead
+    entry.  A live entry inserted for the same key in the meantime (a racing
+    thread re-interning the structure) survives the late cleanup.  The
+    callback needs no lock: the conditional delete is one C call, atomic
+    under the GIL.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+
+        def remove(entry: WeakEntry, table: "GuardedWeakValueDictionary" = self) -> None:
+            _remove_dead_weakref(table, entry.key)
+
+        self.remove = remove
 
 
 def register_cache(name: str, cache: MutableMapping[Any, Any]) -> MutableMapping[Any, Any]:
@@ -152,10 +168,3 @@ def cache_insert(cache: MutableMapping[K, V], key: K, value: V) -> V:
             return existing
         cache[key] = value
     return value
-
-
-def clear_registered_caches() -> None:
-    """Empty every registered cache (test isolation helper)."""
-    with CACHE_LOCK:
-        for cache in _REGISTRY.values():
-            cache.clear()

@@ -1,40 +1,44 @@
 """Hash-consing (structural interning) for immutable AST node classes.
 
-The PBE engine's hot path is dominated by membership queries whose results
-are memoised per AST node.  Before interning, structurally identical regexes
-built at different times (most notably the over-/under-approximations that
-:func:`repro.synthesis.approximate.approximate_partial` constructs on every
-pruning check) were distinct objects, so no memo entry was ever shared and
-id-keyed caches needed keep-alive lists to stay sound.
-
-:class:`InternedMeta` fixes this at the construction site: every call to an
+The PBE engine memoises membership queries per AST node, and the
+over-/under-approximations that
+:func:`repro.synthesis.approximate.approximate_partial` builds on every
+pruning check would otherwise be fresh objects that share no memo entry.
+:class:`InternedMeta` interns at the construction site: every call to an
 interned dataclass constructor returns *the* canonical instance for its field
-values, so structural equality coincides with object identity.  That makes
+values, so structural equality coincides with object identity.  Equality and
+hashing are therefore ``object.__eq__``/``object.__hash__`` (C slots, no
+Python frame), and any ``dict``/``set`` keyed by nodes is shared across all
+producers of equal structure.
 
-* equality O(1) (identity),
-* hashing O(1) (cached at interning time),
-* and any ``dict``/``set`` keyed by nodes automatically shared across all
-  producers of equal structure — across candidates, across ``infeasible``
-  calls, and across worklist generations.
+Each class has one flat intern table, a
+:class:`repro.caches.GuardedWeakValueDictionary` from the field tuple to a
+:class:`repro.caches.WeakEntry` carrying that tuple as its key.  Nodes are
+held weakly and die with their last external reference; caches keyed by
+nodes should likewise use weak keys (or live on objects with a bounded
+lifetime, like a per-subject matcher).
 
-The intern tables hold their values weakly, so nodes are reclaimed once the
-last external reference dies; caches keyed by nodes should likewise use weak
-keys (or live on objects with a bounded lifetime, like a per-subject matcher).
-
-Interning is process-global and the service's worker pool constructs nodes
-from many threads, so inserts are serialised through
-:data:`repro.caches.CACHE_LOCK`: if two threads race past the lock-free
-lookup, only one candidate is published and both threads return it — a second
-"canonical" object for the same structure would break identity equality for
-the rest of the process.  Lookups stay lock-free (safe under the GIL; a
-published entry never changes).
+The service's worker pool constructs nodes from many threads.  A probe with
+already-normalised constructor arguments is lock-free (safe under the GIL; a
+published entry never changes).  Everything else looks up and inserts in one
+step under :data:`repro.caches.CACHE_LOCK`, so of two threads building the
+same structure only the first candidate is published and both return it — a
+second "canonical" object would break identity equality for the process.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any, Tuple
 
 from repro import caches
+from repro.caches import CACHE_LOCK, WeakEntry
+
+
+# Bound once for the miss path, which runs for every new node: a zero-argument
+# super() and the guarded __setitem__ frame cost about a fifth of it.
+_construct = type.__call__
+_dict_setitem = dict.__setitem__
 
 
 class InternedMeta(type):
@@ -55,6 +59,7 @@ class InternedMeta(type):
             f"{namespace.get('__module__', 'repro')}.{name}._intern_table",
             caches.GuardedWeakValueDictionary(),
         )
+        cls._intern_key = None  # set by freeze_interned; abstract bases stay None
         return cls
 
     def __call__(cls, *args: Any, **kwargs: Any):
@@ -67,72 +72,66 @@ class InternedMeta(type):
         # of a live int-keyed node and skip the validation that rejects them
         # (reachable whenever a strong cache keeps the node alive).
         table = cls._intern_table
-        probe = not kwargs
-        if probe:
+        if not kwargs:
             for arg in args:
                 if arg.__class__ is bool or arg.__class__ is float:
-                    probe = False
                     break
-        if probe:
-            try:
-                # table.data maps key -> KeyedRef; probing it directly skips
-                # WeakValueDictionary.get's Python frame on this hot path.
-                ref = table.data.get(args)
-            except TypeError:  # unhashable arg (e.g. a list of children)
-                ref = None
-            if ref is not None:
-                canonical = ref()
+            else:
+                try:
+                    entry = table.get(args)
+                except TypeError:  # unhashable arg (e.g. a list of children)
+                    entry = None
+                if entry is not None:
+                    canonical = entry()
+                    if canonical is not None:
+                        return canonical
+        candidate = _construct(cls, *args, **kwargs)
+        key_of = cls._intern_key
+        if key_of is None:
+            return candidate
+        key = key_of(candidate)
+        # One serialised lookup-and-insert: of racing threads the first insert
+        # wins and every constructor call returns that canonical object.
+        with CACHE_LOCK:
+            entry = table.get(key)
+            if entry is not None:
+                canonical = entry()
                 if canonical is not None:
                     return canonical
-        candidate = super().__call__(*args, **kwargs)
-        fields = getattr(cls, "__dataclass_fields__", None)
-        if fields is None:  # abstract bases are never interned
-            return candidate
-        key = tuple(getattr(candidate, name) for name in fields)
-        canonical = table.get(key)
-        if canonical is not None:
-            return canonical
-        object.__setattr__(candidate, "_hash", hash((cls, key)))
-        # Serialised publish: a racing thread may have interned an equal
-        # candidate since the lock-free lookup above; the first insert wins
-        # and every constructor call returns that canonical object.
-        return caches.cache_insert(table, key, candidate)
-
-
-def _interned_hash(self) -> int:
-    return self._hash
-
-
-def _interned_eq(self, other) -> bool:
-    # Interning guarantees equal structure <=> same object (pickling included,
-    # see _interned_reduce), so identity is a sound and O(1) equality.
-    return self is other
-
-
-def _interned_ne(self, other) -> bool:
-    return self is not other
+            entry = WeakEntry(candidate, table.remove)
+            entry.key = key
+            _dict_setitem(table, key, entry)  # lock held: skip the sanitizer frame
+        return candidate
 
 
 def _interned_reduce(self) -> Tuple[type, tuple]:
     # Reconstruct through the constructor so unpickling re-interns: field
     # order matches the constructors' positional arguments for every AST node.
     cls = type(self)
-    return cls, tuple(getattr(self, name) for name in cls.__dataclass_fields__)
+    return cls, cls._intern_key(self)
+
+
+def _key_getter(names: Tuple[str, ...]):
+    """``node -> field tuple``, built in C by one ``attrgetter`` for 2+ fields."""
+    if len(names) == 1:
+        get = attrgetter(names[0])
+        return lambda node: (get(node),)
+    return attrgetter(*names) if names else lambda node: ()
 
 
 def freeze_interned(*classes: type) -> None:
-    """Install identity equality, cached hashing, and re-interning pickling.
+    """Install identity equality and hashing, the intern key, and re-interning pickling.
 
     Must run after the ``@dataclass`` decorators (which generate structural
     ``__eq__``/``__hash__`` that this replaces) and **before** the first
-    instance is created, so that the intern tables only ever see the cached
-    hash function.
+    instance is created, so that every instance is interned.
     """
     for cls in classes:
-        cls.__hash__ = _interned_hash
-        cls.__eq__ = _interned_eq
-        cls.__ne__ = _interned_ne
+        cls.__hash__ = object.__hash__
+        cls.__eq__ = object.__eq__
+        cls.__ne__ = object.__ne__
         cls.__reduce__ = _interned_reduce
+        cls._intern_key = _key_getter(tuple(cls.__dataclass_fields__))
 
 
 def intern_table_sizes(*classes: type) -> dict:
@@ -143,29 +142,27 @@ def intern_table_sizes(*classes: type) -> dict:
 def check_intern_tables(*classes: type) -> int:
     """Verify intern-table consistency; returns the number of entries checked.
 
-    For every live entry the table key must equal the instance's field tuple,
-    the cached hash must match, and re-running the constructor must return
-    the *same object* — the invariant a lost insert race would break.  Raises
-    ``AssertionError`` on the first violation.
+    Every live entry's own key must equal its table key, the node must hold
+    exactly those field values, and re-running the constructor must return
+    the *same object* — the invariant a lost insert race would break.
+    Raises ``AssertionError`` on the first violation.
     """
     checked = 0
     for cls in classes:
-        fields = getattr(cls, "__dataclass_fields__", None)
-        if fields is None:
+        if cls._intern_key is None:
             continue
-        with caches.CACHE_LOCK:
+        with CACHE_LOCK:
             entries = list(cls._intern_table.items())
-        for key, node in entries:
-            actual = tuple(getattr(node, name) for name in fields)
-            if actual != key:
+        for key, entry in entries:
+            node = entry()
+            if node is None:  # died since the snapshot
+                continue
+            if entry.key != key or cls._intern_key(node) != key:
                 raise AssertionError(
-                    f"{cls.__name__} intern entry keyed {key!r} holds fields {actual!r}"
+                    f"{cls.__name__} entry keyed {key!r} carries {entry.key!r}, "
+                    f"holds fields {cls._intern_key(node)!r}"
                 )
-            if hash(node) != hash((cls, key)):
-                raise AssertionError(f"{cls.__name__} cached hash drifted for {node!r}")
-            if cls(*actual) is not node:
-                raise AssertionError(
-                    f"{cls.__name__}{actual!r} re-interned to a distinct object"
-                )
+            if cls(*key) is not node:
+                raise AssertionError(f"{cls.__name__}{key!r} re-interned to a distinct object")
             checked += 1
     return checked

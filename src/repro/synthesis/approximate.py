@@ -102,31 +102,55 @@ APPROX_CACHE_STATS = ApproxCacheStats()
 def approximate_partial(partial: PartialRegex, hole_depth: int = 3) -> Approximation:
     """Over-/under-approximation ``(o, u)`` of a partial regex (cached).
 
-    The ``(over, under)`` pair is memoised *on* the interned node (the
-    ``_hash`` precedent from :mod:`repro.dsl.intern`): an attribute read is an
-    order of magnitude cheaper than a weak-dict lookup on this path, and the
-    entry's lifetime is identical to a weak-keyed one — it dies with the
-    node.  Because expansion rebuilds only the spine from the expanded node
-    to the root (see :func:`repro.synthesis.partial.replace_node`), every
-    off-spine subtree of a successor is the *same object* as in its parent
-    and hits this memo — the approximation is incremental in the depth of
-    the expanded node.  Thread safety: the function is pure and each memo
-    mutation is a single atomic bytecode, so a racing thread can at worst
-    overwrite an equal entry (benign lost update, recomputed on next call).
+    The ``(over, under)`` pair is memoised *on* the interned node as its
+    ``_approx`` attribute, a ``(hole_depth, (over, under))`` pair: an
+    attribute read is an order of magnitude cheaper than a weak-dict lookup
+    on this path, the entry's lifetime is identical to a weak-keyed one — it
+    dies with the node — and a pair is a quarter the size of a dict.  One
+    search uses one hole depth, so one slot suffices; a call with another
+    depth recomputes and replaces it.  Because expansion rebuilds only the
+    spine from the expanded node to the root (see
+    :func:`repro.synthesis.partial.replace_node`), every off-spine subtree
+    of a successor is the *same object* as in its parent and hits this memo
+    — the approximation is incremental in the depth of the expanded node.
+    Thread safety: the function is pure and the memo write is a single
+    atomic attribute store, so a racing thread can at worst overwrite an
+    equal entry (benign lost update, recomputed on next call).
     """
-    per_depth = getattr(partial, "_approx", None)
-    if per_depth is not None:
-        cached = per_depth.get(hole_depth)
-        if cached is not None:
-            APPROX_CACHE_STATS.hits += 1
-            return cached
+    cached = getattr(partial, "_approx", None)
+    if cached is not None and cached[0] == hole_depth:
+        APPROX_CACHE_STATS.hits += 1
+        return cached[1]
     APPROX_CACHE_STATS.misses += 1
     result = _approximate_partial_uncached(partial, hole_depth)
-    if per_depth is None:
-        per_depth = {}
-        object.__setattr__(partial, "_approx", per_depth)
-    per_depth[hole_depth] = result
+    object.__setattr__(partial, "_approx", (hole_depth, result))
     return result
+
+
+#: Operators whose language is empty when an argument's is (DSL integers
+#: are positive, so this covers the whole Repeat family).
+_BOTTOM_STRICT = frozenset({"Concat", "And", "StartsWith", "EndsWith", "Contains"} | set(_INT_OPS))
+#: Operators under which ``⊤`` (every string over the printable alphabet) is
+#: closed.  ``StartsWith``/``EndsWith``/``Contains``/``Not`` are absent: over
+#: a subject with a character outside that alphabet they differ from ``⊤``.
+_TOP_CLOSED = frozenset({"Concat", "Or", "And", "KleeneStar", "Optional"} | set(_INT_OPS))
+_CTORS = {**_UNARY, **_BINARY, **_INT_OPS}
+
+
+def _absorb(op: str, args: list, ints: tuple = ()) -> rast.Regex:
+    """``op(*args, *ints)``, folding the ⊤/⊥ identities that hold over every alphabet.
+
+    ``Or(⊤, x)`` and ``And(⊤, x)`` are not folded: ``⊤`` is not Σ*, so they
+    are not ``⊤`` and ``x`` over a subject outside the printable alphabet.
+    """
+    if BOTTOM in args:
+        if op in _BOTTOM_STRICT:
+            return BOTTOM
+        if op == "Or":
+            return args[0] if args[1] is BOTTOM else args[1]
+    elif op in _TOP_CLOSED and all(arg is TOP for arg in args):
+        return TOP
+    return _CTORS[op](*args, *ints)
 
 
 def _approximate_partial_uncached(
@@ -142,21 +166,20 @@ def _approximate_partial_uncached(
             return TOP, BOTTOM
         return approximate_sketch(label, hole_depth)                    # rule 1
     if isinstance(partial, POp):
+        op = partial.op
         approximations = [approximate_partial(child, hole_depth) for child in partial.children]
-        if partial.op == "Not":                                         # rule 3
+        if op == "Not":                                                 # rule 3
             over, under = approximations[0]
             return rast.Not(under), rast.Not(over)
-        if partial.op in _UNARY or partial.op in _BINARY:               # rule 2
-            ctor = _UNARY.get(partial.op) or _BINARY[partial.op]
-            overs = [o for o, _ in approximations]
-            unders = [u for _, u in approximations]
-            return ctor(*overs), ctor(*unders)
+        overs = [o for o, _ in approximations]
+        unders = [u for _, u in approximations]
+        if op not in _INT_OPS:                                          # rule 2
+            return _absorb(op, overs), _absorb(op, unders)
         # Repeat family (rules 4-5).
-        over, under = approximations[0]
-        ctor = _INT_OPS[partial.op]
-        if any(isinstance(value, SymInt) for value in partial.ints):    # rule 5
-            return rast.RepeatAtLeast(over, 1), BOTTOM
-        return ctor(over, *partial.ints), ctor(under, *partial.ints)    # rule 4
+        ints = partial.ints
+        if any(isinstance(value, SymInt) for value in ints):            # rule 5
+            return _absorb("RepeatAtLeast", overs, (1,)), BOTTOM
+        return _absorb(op, overs, ints), _absorb(op, unders, ints)      # rule 4
     raise TypeError(f"unknown partial regex node: {partial!r}")
 
 
@@ -169,9 +192,14 @@ def infeasible(
 
     Returns True when the partial regex provably cannot be completed into a
     regex consistent with the examples.  When approximation pruning is
-    disabled (the Regel-Enum ablation) this always returns False.
+    disabled (the Regel-Enum ablation) this always returns False.  When the
+    under-approximation is ``⊥`` it rejects every negative example, so they
+    are not evaluated.  An over-approximation of ``⊤`` is still checked
+    against the positives: it rejects one that leaves the printable alphabet.
     """
     if not config.use_approximation:
         return False
     over, under = approximate_partial(partial, config.hole_depth)
-    return not examples.accepts_all_positive(over) or not examples.rejects_all_negative(under)
+    if not examples.accepts_all_positive(over):
+        return True
+    return under is not BOTTOM and not examples.rejects_all_negative(under)

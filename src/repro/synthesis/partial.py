@@ -151,8 +151,8 @@ def is_symbolic(partial: PartialRegex) -> bool:
 def partial_size(partial: PartialRegex) -> int:
     """Number of nodes (used by the search priority).
 
-    Memoised on the interned node itself (like ``_hash``): the write is a
-    single atomic attribute store of a value every racing thread computes
+    Memoised on the interned node itself (an on-node stamp, like the
+    approximation memo): the write is a single atomic attribute store of a value every racing thread computes
     identically, and the entry dies with the node.
     """
     cached = getattr(partial, "_size", None)

@@ -1,10 +1,14 @@
 """Regression tests for hash-consing and the caches built on top of it."""
 
 import pickle
+import sys
+import threading
 
 import pytest
 
+from repro import caches
 from repro.dsl import ast as r
+from repro.dsl.intern import check_intern_tables, intern_table_sizes
 from repro.dsl.parser import parse_regex
 from repro.dsl.semantics import Matcher, RecursiveMatcher
 from repro.sketch import hole, parse_sketch
@@ -60,6 +64,87 @@ class TestRegexInterning:
 
     def test_hash_stable_and_usable_in_sets(self):
         assert len({r.Repeat(r.NUM, 2), r.Repeat(r.NUM, 2), r.Repeat(r.NUM, 3)}) == 2
+
+
+class TestInternTables:
+    def test_hash_is_the_identity_hash(self):
+        node = r.Concat(r.NUM, r.Repeat(r.LET, 2))
+        partial = POp("Concat", (PLeaf(node), POpen(hole(r.NUM))))
+        assert hash(node) == object.__hash__(node)
+        assert hash(partial) == object.__hash__(partial)
+
+    def test_dropped_node_leaves_its_table(self):
+        before = intern_table_sizes(r.RepeatRange)["RepeatRange"]
+        node = r.RepeatRange(r.HEX, 17, 19)
+        assert intern_table_sizes(r.RepeatRange)["RepeatRange"] == before + 1
+        del node
+        assert intern_table_sizes(r.RepeatRange)["RepeatRange"] == before
+
+    def test_entry_carries_its_key(self):
+        node = r.RepeatRange(r.HEX, 17, 20)
+        entry = r.RepeatRange._intern_table[(r.HEX, 17, 20)]
+        assert entry() is node and entry.key == (r.HEX, 17, 20)
+        assert check_intern_tables(r.RepeatRange) >= 1
+
+    def test_racing_reinsert_survives_cleanup_of_the_dead_entry(self):
+        table = r.RepeatRange._intern_table
+        key = (r.HEX, 17, 21)
+        node = r.RepeatRange(*key)
+        dead = table[key]
+        del node
+        assert dead() is None and key not in table
+        # Put the dead entry back as if its cleanup had not run yet: another
+        # thread re-interns the structure first, then the cleanup runs late.
+        with caches.CACHE_LOCK:
+            table[key] = dead
+        fresh = r.RepeatRange(*key)
+        assert table[key] is not dead
+        table.remove(dead)
+        assert table[key]() is fresh
+        assert r.RepeatRange(*key) is fresh
+        del fresh
+        assert key not in table
+        # A cleanup that finds its own dead entry still in place deletes it.
+        with caches.CACHE_LOCK:
+            table[key] = dead
+        table.remove(dead)
+        assert key not in table
+
+    def test_churning_threads_never_see_two_canonical_objects(self):
+        # Threads build, re-build and drop the same few structures, so entries
+        # die and are re-inserted while other threads look them up.  A lost
+        # insert race, or a cleanup deleting a live entry, would make the
+        # second construction return a different object than the first.
+        n_threads, rounds = 8, 400
+        barrier = threading.Barrier(n_threads)
+        errors = []
+
+        def churn() -> None:
+            try:
+                barrier.wait(timeout=10.0)
+                for index in range(rounds):
+                    count = 30 + index % 3
+                    node = r.Concat(r.RepeatRange(r.HEX, count, 40), r.literal("~"))
+                    again = r.Concat(r.RepeatRange(r.HEX, count, 40), r.literal("~"))
+                    if again is not node:
+                        errors.append((index, node, again))
+                    del node, again
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn) for _ in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        check_intern_tables(r.Concat, r.RepeatRange)
 
 
 class TestPartialInterning:

@@ -42,12 +42,11 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_ROOT = REPO_ROOT / "src"
 
 #: Modules whose node lifecycles legitimately need ``object.__setattr__``
-#: (interning machinery, frozen-dataclass ``__post_init__`` setup, and the
-#: on-node memo stamps — ``_hash``-style pure-value attributes whose single
+#: (frozen-dataclass ``__post_init__`` setup and the on-node memo stamps —
+#: pure-value attributes such as ``_approx`` and ``_size`` whose single
 #: atomic write makes a racing overwrite benign).
 SETATTR_ALLOWED = {
     "repro/dsl/ast.py",
-    "repro/dsl/intern.py",
     "repro/api/problem.py",
     "repro/sketch/ast.py",
     "repro/solver/terms.py",
