@@ -7,9 +7,9 @@ distinguishing examples are added and the tool is re-run (up to 4 iterations).
 Run with:  python examples/interactive_refinement.py
 """
 
+from repro.api import NlSketchProvider, Problem, Session
 from repro.datasets import stackoverflow_dataset
-from repro.dsl import to_dsl_string
-from repro.multimodal import Regel, run_interactive
+from repro.multimodal import run_interactive
 from repro.synthesis import SynthesisConfig
 
 
@@ -19,28 +19,32 @@ def main() -> None:
     print(f"  {benchmark.description}")
     print(f"Ground-truth regex: {benchmark.regex_text}\n")
 
-    tool = Regel(config=SynthesisConfig(timeout=10.0, hole_depth=3), num_sketches=15)
+    session = Session(
+        provider=NlSketchProvider(num_sketches=15),
+        config=SynthesisConfig(timeout=10.0, hole_depth=3),
+    )
 
     def solve(positive, negative):
         print(f"  running Regel with {len(positive)} positive / {len(negative)} negative examples")
-        result = tool.synthesize(
-            benchmark.description, positive, negative, k=5, time_budget=10.0
+        report = session.solve(
+            Problem(benchmark.description, positive, negative, k=5, budget=10.0)
         )
-        for regex in result.regexes:
-            print(f"    candidate: {to_dsl_string(regex)}")
-        return result.regexes, result.elapsed
+        for solution in report.solutions:
+            print(f"    candidate: {solution.regex}")
+        return [solution.ast() for solution in report.solutions], report.elapsed
 
-    session = run_interactive(benchmark, solve, max_iterations=3)
+    outcome = run_interactive(benchmark, solve, max_iterations=3)
 
     print()
-    if session.solved_at is not None:
-        print(f"Intended regex found at iteration {session.solved_at}.")
+    if outcome.solved_at is not None:
+        print(f"Intended regex found at iteration {outcome.solved_at}.")
     else:
         print("Intended regex not found within 3 iterations.")
-    for outcome in session.outcomes:
+    for iteration in outcome.outcomes:
         print(
-            f"  iteration {outcome.iteration}: solved={outcome.solved} "
-            f"time={outcome.elapsed:.2f}s examples={outcome.num_positive}+{outcome.num_negative}"
+            f"  iteration {iteration.iteration}: solved={iteration.solved} "
+            f"time={iteration.elapsed:.2f}s "
+            f"examples={iteration.num_positive}+{iteration.num_negative}"
         )
 
 

@@ -8,8 +8,10 @@ The English description is ambiguous (it even says "comma" instead of
 Run with:  python examples/stackoverflow_decimal.py
 """
 
-from repro import Regel, SynthesisConfig
-from repro.dsl import matches, to_dsl_string
+from repro.api import NlSketchProvider, Problem, Session
+from repro.dsl import matches
+from repro.sketch import sketch_to_string
+from repro.synthesis import SynthesisConfig
 
 
 DESCRIPTION = (
@@ -21,28 +23,27 @@ NEGATIVE = ["1234567891234567", "123.1234", "1.12345", ".1234"]
 
 
 def main() -> None:
-    tool = Regel(config=SynthesisConfig(timeout=30.0, hole_depth=3), num_sketches=25)
+    provider = NlSketchProvider(num_sketches=25)
+    session = Session(provider=provider, config=SynthesisConfig(timeout=30.0, hole_depth=3))
 
     print("Natural language description:")
     print(f"  {DESCRIPTION}\n")
     print("Ranked h-sketches produced by the semantic parser (top 5):")
-    for sketch in tool.parser.sketches(DESCRIPTION, k=5):
-        from repro.sketch import sketch_to_string
-
+    for sketch in provider.parser.sketches(DESCRIPTION, k=5):
         print(f"  {sketch_to_string(sketch)}")
 
-    result = tool.synthesize(DESCRIPTION, POSITIVE, NEGATIVE, k=5, time_budget=30.0)
-    print(f"\nSynthesis finished in {result.elapsed:.2f}s "
-          f"({result.sketches_tried} sketches tried)\n")
+    report = session.solve(Problem(DESCRIPTION, POSITIVE, NEGATIVE, k=5, budget=30.0))
+    print(f"\nSynthesis finished in {report.elapsed:.2f}s "
+          f"({report.sketches_tried} sketches tried)\n")
 
-    if not result.solved:
+    if not report.solved:
         print("No consistent regex found — try increasing the time budget.")
         return
 
-    for rank, regex in enumerate(result.regexes, start=1):
-        print(f"#{rank}: {to_dsl_string(regex)}")
+    for rank, solution in enumerate(report.solutions, start=1):
+        print(f"#{rank}: {solution.regex}")
 
-    best = result.regexes[0]
+    best = report.best.ast()
     print("\nBehaviour of the top result:")
     for text in POSITIVE + NEGATIVE + ["0.5", "12345678.9999"]:
         print(f"  {text!r:22} -> {'accept' if matches(best, text) else 'reject'}")

@@ -7,9 +7,7 @@ positive/negative examples.
 Public entry points:
 
 * :mod:`repro.api` — the pipeline API (``Problem`` → ``SketchProvider`` →
-  ``Scheduler`` → ``Session`` → ``RunReport``), the preferred interface,
-* :class:`repro.multimodal.Regel` — the legacy facade (deprecated shim over
-  the pipeline API),
+  ``Scheduler`` → ``Session`` → ``RunReport``), the tool's interface,
 * :func:`repro.synthesis.synthesize` — the sketch-guided PBE engine,
 * :class:`repro.nlp.SemanticParser` — English → ranked h-sketches,
 * :mod:`repro.datasets` — the two evaluation corpora,
@@ -26,13 +24,11 @@ from repro.api import (
     Problem,
     ProcessPoolScheduler,
     RunReport,
-    SequentialScheduler,
     Session,
     SketchReport,
     Solution,
     StaticSketchProvider,
 )
-from repro.multimodal.regel import Regel, RegelResult
 from repro.synthesis import SynthesisConfig, EngineVariant, synthesize
 from repro.nlp.sketch_gen import SemanticParser
 
@@ -46,11 +42,8 @@ __all__ = [
     "NlSketchProvider",
     "StaticSketchProvider",
     "PbeOnlyProvider",
-    "SequentialScheduler",
     "InterleavedScheduler",
     "ProcessPoolScheduler",
-    "Regel",
-    "RegelResult",
     "SynthesisConfig",
     "EngineVariant",
     "synthesize",

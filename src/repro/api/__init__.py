@@ -7,9 +7,9 @@ deployment:
 .. code-block:: text
 
     Problem ──▶ SketchProvider ──▶ Scheduler ──▶ Session ──▶ RunReport
-    (frozen     (NL parser /       (sequential /  (solve /    (solutions +
-     spec)       static list /      interleaved /  streaming)  per-sketch
-                 single hole)       process pool)              telemetry)
+    (frozen     (NL parser /       (interleaved / (solve /    (solutions +
+     spec)       static list /      process pool)  streaming)  per-sketch
+                 single hole)                                  telemetry)
 
 Quick example::
 
@@ -40,7 +40,6 @@ from repro.api.schedulers import (
     InterleavedScheduler,
     ProcessPoolScheduler,
     Scheduler,
-    SequentialScheduler,
     make_scheduler,
 )
 from repro.api.session import Session
@@ -55,7 +54,6 @@ __all__ = [
     "StaticSketchProvider",
     "PbeOnlyProvider",
     "Scheduler",
-    "SequentialScheduler",
     "InterleavedScheduler",
     "ProcessPoolScheduler",
     "SCHEDULERS",

@@ -141,7 +141,7 @@ class RunReport:
     #: The problem this report answers.
     problem: Problem
     #: Name of the scheduler that produced the report.
-    scheduler: str = "sequential"
+    scheduler: str = "interleaved"
     #: Distinct consistent regexes, smallest first (at most ``problem.k``).
     solutions: List[Solution] = field(default_factory=list)
     #: Telemetry for every sketch that was attempted.
@@ -213,7 +213,7 @@ class RunReport:
     def from_dict(cls, data: Mapping[str, Any]) -> "RunReport":
         return cls(
             problem=Problem.from_dict(data["problem"]),
-            scheduler=data.get("scheduler", "sequential"),
+            scheduler=data.get("scheduler", "interleaved"),
             solutions=[Solution.from_dict(entry) for entry in data.get("solutions", [])],
             sketches=[SketchReport.from_dict(entry) for entry in data.get("sketches", [])],
             elapsed=data.get("elapsed", 0.0),

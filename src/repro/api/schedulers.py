@@ -7,23 +7,23 @@ semantics under an explicit policy; each is a generator that yields
 :class:`Finished` events (per-sketch telemetry), so consumers can stream
 results before the budget elapses:
 
-* :class:`SequentialScheduler` — one engine after another; each sketch gets
-  a *fair* slice ``min(per_sketch_cap, remaining)`` of the shared budget, so
-  a pathological first sketch cannot eat the whole budget,
-* :class:`InterleavedScheduler` — round-robin time slices over resumable
-  :class:`~repro.synthesis.engine.SynthesisRun` instances: the paper's
+* :class:`InterleavedScheduler` — the default: round-robin turns of a fixed
+  number of worklist pops over resumable
+  :class:`~repro.synthesis.engine.SynthesisRun` instances, the paper's
   parallel semantics in a single process, with anytime behaviour,
-* :class:`ProcessPoolScheduler` — a true multi-core portfolio via
-  :mod:`concurrent.futures`; problems and results cross the process boundary
+* :class:`ProcessPoolScheduler` — a true multi-core portfolio over
+  :mod:`multiprocessing`; problems and results cross the process boundary
   in their textual notation, so nothing non-picklable is shipped.
 """
 
 from __future__ import annotations
 
+import os
+import queue
 import time
 from collections import deque
 from dataclasses import asdict, dataclass, fields
-from typing import Iterator, List, Optional, Protocol, Sequence, Union, runtime_checkable
+from typing import Any, Iterator, List, Optional, Protocol, Sequence, Union, runtime_checkable
 
 from repro.dsl import ast as rast
 from repro.sketch.ast import Sketch
@@ -85,69 +85,27 @@ class Scheduler(Protocol):
         ...
 
 
-class SequentialScheduler:
-    """Run one engine per sketch, in rank order, against the shared budget.
-
-    Each sketch gets the slice ``min(per_sketch_cap, remaining)``; unused
-    time flows to later sketches because the cap is recomputed as
-    ``remaining / sketches_left``.  An explicit ``per_sketch_cap`` fixes the
-    cap instead.
-    """
-
-    name = "sequential"
-
-    def __init__(self, per_sketch_cap: Optional[float] = None):
-        self.per_sketch_cap = per_sketch_cap
-
-    def run(
-        self,
-        sketches: Sequence[Sketch],
-        examples: Examples,
-        config: SynthesisConfig,
-        budget: float,
-        cancel: CancelToken,
-    ) -> Iterator[SchedulerEvent]:
-        deadline = time.monotonic() + budget
-        total = len(sketches)
-        for position, sketch in enumerate(sketches):
-            remaining = deadline - time.monotonic()
-            if remaining <= 0 or cancel.cancelled:
-                break
-            cap = (
-                self.per_sketch_cap
-                if self.per_sketch_cap is not None
-                else remaining / (total - position)
-            )
-            slice_budget = min(cap, remaining, config.timeout)
-            run = Synthesizer(config).start(sketch, examples)
-            result = run.step(slice_budget)
-            if not run.done:
-                result.timed_out = True
-            for regex in result.regexes:
-                yield Found(position, regex)
-            yield Finished(position, sketch_to_string(sketch), result)
+#: Worklist pops one turn of :class:`InterleavedScheduler` gives one run.
+#: Every paused run keeps its search state alive, so shorter turns hold more
+#: memory at once; under a 50-expansion cap a sketch finishes in one turn,
+#: exactly as if the sketches ran one after another.
+SLICE_EXPANSIONS = 50
 
 
 class InterleavedScheduler:
-    """Round-robin time slices across all sketches' engines, in one process.
+    """Round-robin turns across all sketches' engines, in one process.
 
     This matches the paper's run-everything-in-parallel semantics without
     processes: every sketch makes progress early, so an easy sketch ranked
     behind a pathological one still gets engine time long before the budget
-    runs out — the portfolio's anytime behaviour.  ``slice_seconds`` bounds
-    each turn's wall-clock slice and ``slice_expansions`` (optional) bounds it
-    deterministically in worklist pops.
+    runs out — the portfolio's anytime behaviour.  A turn steps one run by
+    :data:`SLICE_EXPANSIONS` worklist pops; the wall clock only guards it: a
+    turn lasts at most ``remaining budget / live runs`` and what is left of
+    the run's own ``config.timeout``, and a run that has spent its timeout is
+    finished as timed out.
     """
 
     name = "interleaved"
-
-    def __init__(
-        self, slice_seconds: float = 0.2, slice_expansions: Optional[int] = None
-    ):
-        if slice_seconds <= 0:
-            raise ValueError("slice_seconds must be positive")
-        self.slice_seconds = slice_seconds
-        self.slice_expansions = slice_expansions
 
     def run(
         self,
@@ -163,21 +121,27 @@ class InterleavedScheduler:
             for index, sketch in enumerate(sketches)
         )
         while queue and not cancel.cancelled:
-            slice_budget = min(self.slice_seconds, deadline - time.monotonic())
-            if slice_budget <= 0:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
                 break
             entry = queue.popleft()
             index, sketch, run, _ = entry
             entry[3] = True  # this sketch has now received engine time
-            before = len(run.result.regexes)
-            run.step(slice_budget, self.slice_expansions)
-            for regex in run.result.regexes[before:]:
+            result = run.result
+            before = len(result.regexes)
+            run.step(
+                min(remaining / (len(queue) + 1), config.timeout - result.elapsed),
+                SLICE_EXPANSIONS,
+            )
+            for regex in result.regexes[before:]:
                 yield Found(index, regex)
-            if run.done:
-                yield Finished(index, sketch_to_string(sketch), run.result)
-            else:
+            if not run.done and result.elapsed < config.timeout:
                 queue.append(entry)
-        # Sketches that received at least one slice were attempted but ran out
+                continue
+            if not run.done:
+                result.timed_out = True
+            yield Finished(index, sketch_to_string(sketch), result)
+        # Sketches that received at least one turn were attempted but ran out
         # of budget (or the caller cancelled); never-started sketches are not
         # reported, so telemetry counts genuine attempts only.  Not reached
         # when the consumer closes the generator — a closed stream cannot
@@ -190,7 +154,19 @@ class InterleavedScheduler:
             yield Finished(index, sketch_to_string(sketch), run.result)
 
 
+#: Per-sketch "has started" flags shared with the parent; set only inside a
+#: worker process, by the pool initializer (shared memory cannot travel with
+#: a task, only with the worker's start).
+_started: Any = None
+
+
+def _init_worker(started: Any) -> None:
+    global _started
+    _started = started
+
+
 def _solve_sketch_worker(
+    index: int,
     sketch_text: str,
     positive: List[str],
     negative: List[str],
@@ -207,6 +183,7 @@ def _solve_sketch_worker(
     from repro.dsl.printer import to_dsl_string
     from repro.sketch.parser import parse_sketch
 
+    _started[index] = 1
     config = SynthesisConfig(**config_dict)
     config.timeout = max(0.05, min(config.timeout, deadline - time.monotonic()))
     engine = Synthesizer(config)
@@ -219,22 +196,31 @@ def _solve_sketch_worker(
     return payload
 
 
+def _pool_width(sketches: int) -> int:
+    """One worker per usable CPU, but no more workers than sketches."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform reports an affinity mask
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, sketches))
+
+
 class ProcessPoolScheduler:
     """True multi-core portfolio: one worker process per sketch.
 
-    Each worker gets the whole remaining budget (the workers run
-    concurrently, as in the paper's parallel deployment).  Sketches and
-    regexes are shipped across the process boundary in their textual
-    notation, which round-trips exactly and keeps the futures picklable.
+    The pool has one worker per CPU this process may run on, capped by the
+    number of sketches, and each sketch gets the whole remaining budget (the
+    workers run concurrently, as in the paper's parallel deployment).
+    Sketches and regexes cross the process boundary in their textual
+    notation, which round-trips exactly.  When :meth:`run` ends — budget
+    spent, ``k`` reached or the stream closed — workers still searching are
+    terminated, so no engine outlives its request.
     """
 
     name = "process-pool"
 
     #: Extra seconds allowed for workers to notice their own deadline.
     grace = 2.0
-
-    def __init__(self, max_workers: Optional[int] = None):
-        self.max_workers = max_workers
 
     def run(
         self,
@@ -244,7 +230,7 @@ class ProcessPoolScheduler:
         budget: float,
         cancel: CancelToken,
     ) -> Iterator[SchedulerEvent]:
-        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+        import multiprocessing
 
         from repro.dsl.parser import parse_regex
 
@@ -252,62 +238,60 @@ class ProcessPoolScheduler:
         config_dict = asdict(config)
         positive = list(examples.positive)
         negative = list(examples.negative)
-        max_workers = self.max_workers or min(8, max(1, len(sketches)))
-        pool = ProcessPoolExecutor(max_workers=max_workers)
+        texts = [sketch_to_string(sketch) for sketch in sketches]
+        # Forking this process is unsafe once it runs threads (the service
+        # does), so workers fork from a single-threaded server process that
+        # has already imported the engine; that avoids a fresh import per
+        # worker as well.
+        context = multiprocessing.get_context("forkserver")
+        context.set_forkserver_preload([__name__])
+        started = context.RawArray("b", len(texts))
+        finished: "queue.SimpleQueue[tuple[int, Optional[dict]]]" = queue.SimpleQueue()
+        pool = context.Pool(
+            _pool_width(len(texts)), initializer=_init_worker, initargs=(started,)
+        )
         try:
-            futures = {
-                pool.submit(
+            for index, text in enumerate(texts):
+                pool.apply_async(
                     _solve_sketch_worker,
-                    sketch_to_string(sketch),
-                    positive,
-                    negative,
-                    config_dict,
-                    deadline,
-                ): (index, sketch)
-                for index, sketch in enumerate(sketches)
-            }
-            pending = set(futures)
-            while pending and not cancel.cancelled:
-                overtime = time.monotonic() - deadline
-                if overtime > self.grace:
-                    break
-                done, pending = wait(pending, timeout=0.1, return_when=FIRST_COMPLETED)
-                for future in done:
-                    index, sketch = futures[future]
-                    try:
-                        payload = future.result()
-                    except Exception:
-                        # A worker crash counts as an unsolved, exhausted sketch.
-                        yield Finished(
-                            index, sketch_to_string(sketch), SynthesisResult(timed_out=True)
-                        )
-                        continue
-                    payload["regexes"] = [parse_regex(text) for text in payload["regexes"]]
-                    result = SynthesisResult(**payload)
-                    for regex in result.regexes:
-                        yield Found(index, regex)
-                    yield Finished(index, sketch_to_string(sketch), result)
-            for future in pending:
-                index, sketch = futures[future]
-                if future.cancel():
-                    # Never started: not an attempt, so no telemetry entry.
-                    continue
-                yield Finished(
-                    index, sketch_to_string(sketch), SynthesisResult(timed_out=True)
+                    (index, text, positive, negative, config_dict, deadline),
+                    callback=lambda payload, index=index: finished.put((index, payload)),
+                    # A worker crash counts as an unsolved, exhausted sketch.
+                    error_callback=lambda _, index=index: finished.put((index, None)),
                 )
+            pending = set(range(len(texts)))
+            while pending and not cancel.cancelled:
+                wait = deadline + self.grace - time.monotonic()
+                if wait <= 0:
+                    break
+                try:
+                    index, payload = finished.get(timeout=min(0.1, wait))
+                except queue.Empty:
+                    continue
+                pending.discard(index)
+                if payload is None:
+                    yield Finished(index, texts[index], SynthesisResult(timed_out=True))
+                    continue
+                payload["regexes"] = [parse_regex(text) for text in payload["regexes"]]
+                result = SynthesisResult(**payload)
+                for regex in result.regexes:
+                    yield Found(index, regex)
+                yield Finished(index, texts[index], result)
+            for index in sorted(pending):
+                if started[index]:  # never-started sketches are not attempts
+                    yield Finished(index, texts[index], SynthesisResult(timed_out=True))
         finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+            pool.terminate()
 
 
 #: Registry used by the CLI's ``--scheduler`` flag.
 SCHEDULERS = {
-    "sequential": SequentialScheduler,
     "interleaved": InterleavedScheduler,
     "process-pool": ProcessPoolScheduler,
 }
 
 
-def make_scheduler(name: str, **kwargs) -> Scheduler:
+def make_scheduler(name: str) -> Scheduler:
     """Instantiate a scheduler by registry name (see :data:`SCHEDULERS`)."""
     try:
         factory = SCHEDULERS[name]
@@ -315,4 +299,4 @@ def make_scheduler(name: str, **kwargs) -> Scheduler:
         raise ValueError(
             f"unknown scheduler {name!r}; choose from {sorted(SCHEDULERS)}"
         ) from None
-    return factory(**kwargs)
+    return factory()

@@ -22,7 +22,7 @@ from typing import Iterator, Optional
 from repro.api.problem import Problem
 from repro.api.providers import NlSketchProvider, SketchProvider
 from repro.api.results import RunReport, SketchReport, Solution
-from repro.api.schedulers import CancelToken, Found, Scheduler, SequentialScheduler
+from repro.api.schedulers import CancelToken, Found, InterleavedScheduler, Scheduler
 from repro.dsl.printer import to_dsl_string
 from repro.dsl.simplify import size
 from repro.synthesis.config import SynthesisConfig
@@ -38,7 +38,7 @@ class Session:
         config: Optional[SynthesisConfig] = None,
     ):
         self.provider = provider if provider is not None else NlSketchProvider()
-        self.scheduler = scheduler if scheduler is not None else SequentialScheduler()
+        self.scheduler = scheduler if scheduler is not None else InterleavedScheduler()
         self.config = config or SynthesisConfig()
         #: Report of the most recent (possibly cancelled) run.
         self.last_report: Optional[RunReport] = None
@@ -119,3 +119,6 @@ class Session:
             events.close()
             report.elapsed = time.monotonic() - start
             report.solutions.sort(key=lambda solution: (solution.size, solution.regex))
+            # Runs finish in whatever order the scheduler lets them; the
+            # report lists sketches by rank so it does not depend on that.
+            report.sketches.sort(key=lambda sketch: sketch.index)

@@ -3,11 +3,11 @@
 * :class:`repro.baselines.deepregex.DeepRegexBaseline` — NL-only translation
   (a stand-in for the seq2seq DeepRegex system; see DESIGN.md for the
   substitution rationale),
-* :class:`repro.baselines.pbe_only.RegelPbe` — examples-only synthesis
-  starting from a completely unconstrained sketch.
+* Regel-PBE — examples-only synthesis starting from a completely
+  unconstrained sketch — is a :class:`repro.api.Session` with the
+  :class:`repro.api.PbeOnlyProvider`.
 """
 
 from repro.baselines.deepregex import DeepRegexBaseline
-from repro.baselines.pbe_only import RegelPbe
 
-__all__ = ["DeepRegexBaseline", "RegelPbe"]
+__all__ = ["DeepRegexBaseline"]

@@ -86,7 +86,7 @@ def _add_scheduler_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scheduler",
         choices=sorted(SCHEDULERS),
-        default="sequential",
+        default="interleaved",
         help="how engine instances share the time budget",
     )
 
@@ -222,13 +222,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
     serve.add_argument("--sketches", type=int, default=25, help="sketches per problem")
     serve.add_argument(
         "--cache-backend",
-        choices=["json", "sqlite", "null"],
+        choices=["json", "null"],
         default="json",
         help="persistent result cache backend ('null' disables caching)",
     )
     serve.add_argument(
         "--cache-path", default=None,
-        help="cache directory (json) or database file (sqlite)",
+        help="cache directory (default .regel-cache)",
     )
     serve.add_argument(
         "--cache-max-entries", type=int, default=1024,

@@ -12,7 +12,6 @@ from repro.api import (
     PbeOnlyProvider,
     Problem,
     Scheduler,
-    SequentialScheduler,
     Session,
 )
 from repro.baselines.deepregex import DeepRegexBaseline
@@ -60,13 +59,14 @@ def make_regel_solver(
 ) -> Solver:
     """Solver factory for the full Regel tool.
 
-    ``scheduler`` selects the portfolio policy (default: fair-sequential);
-    pass e.g. :class:`repro.api.InterleavedScheduler` to reproduce the
-    paper's run-engines-in-parallel deployment in-process.
+    ``scheduler`` selects the portfolio policy; the default
+    :class:`repro.api.InterleavedScheduler` runs the paper's one engine per
+    sketch in round-robin turns in-process, and
+    :class:`repro.api.ProcessPoolScheduler` runs them on several cores.
     """
     session = Session(
         provider=NlSketchProvider(parser, num_sketches=num_sketches),
-        scheduler=scheduler if scheduler is not None else SequentialScheduler(),
+        scheduler=scheduler,
         config=config,
     )
 
@@ -95,11 +95,7 @@ def make_pbe_solver(
     scheduler: Optional[Scheduler] = None,
 ) -> Solver:
     """Solver factory for the examples-only Regel-PBE baseline."""
-    session = Session(
-        provider=PbeOnlyProvider(),
-        scheduler=scheduler if scheduler is not None else SequentialScheduler(),
-        config=config,
-    )
+    session = Session(provider=PbeOnlyProvider(), scheduler=scheduler, config=config)
 
     def for_benchmark(benchmark: Benchmark):
         def solve(positive: Sequence[str], negative: Sequence[str]):

@@ -1,17 +1,14 @@
-"""The multi-modal Regel tool: natural language + examples → top-k regexes.
+"""The interactive example-feedback protocol used by the evaluation (Section 8.1).
 
-This package wires together the semantic parser (:mod:`repro.nlp`) and the
-sketch-guided PBE engine (:mod:`repro.synthesis`) into the end-to-end system
-of Figure 1, plus the interactive example-feedback protocol used by the
-evaluation (Section 8.1).
+The end-to-end system of Figure 1 — semantic parser (:mod:`repro.nlp`) plus
+sketch-guided PBE engine (:mod:`repro.synthesis`) — is
+:class:`repro.api.Session`; this package drives any such solver through the
+protocol's rounds of added examples.
 """
 
-from repro.multimodal.regel import Regel, RegelResult
 from repro.multimodal.interaction import InteractiveSession, IterationOutcome, run_interactive
 
 __all__ = [
-    "Regel",
-    "RegelResult",
     "InteractiveSession",
     "IterationOutcome",
     "run_interactive",

@@ -11,7 +11,7 @@ Layers (see ``docs/architecture.md``):
 
 * :mod:`repro.service.wire` — schemas, validation, error envelopes,
 * :mod:`repro.service.cache` — persistent content-addressed result store
-  (JSON-directory or SQLite backends, LRU-bounded, counted),
+  (a JSON directory, LRU-bounded, counted),
 * :mod:`repro.service.pool` — bounded worker pool, one warm
   :class:`~repro.api.Session` per worker, 429 back-pressure,
 * :mod:`repro.service.handlers` — transport-free endpoint logic,
@@ -30,7 +30,6 @@ from repro.service.cache import (
     JsonDirCache,
     NullCache,
     ResultCache,
-    SqliteCache,
     make_cache,
 )
 from repro.service.client import JobLostError, ServiceClient, ServiceError
@@ -48,7 +47,6 @@ __all__ = [
     "JsonDirCache",
     "NullCache",
     "ResultCache",
-    "SqliteCache",
     "make_cache",
     "JobLostError",
     "ServiceClient",

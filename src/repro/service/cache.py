@@ -8,18 +8,13 @@ the key is :meth:`repro.api.Problem.cache_key` (SHA-256 of the canonical
 problem JSON) and the value is a completed :class:`~repro.api.RunReport`
 dict.
 
-Two persistent backends, both stdlib-only and safe under the service's
-thread pool:
+The persistent backend, :class:`JsonDirCache`, keeps one ``<key>.json``
+file per entry in a directory and tracks recency through file mtimes: it is
+stdlib-only, safe under the service's thread pool, trivially inspectable
+(``cat``-able) and rsync-friendly.  :class:`NullCache` disables caching.
 
-* :class:`JsonDirCache` — one ``<key>.json`` file per entry in a directory;
-  recency is tracked through file mtimes.  Trivially inspectable
-  (``cat``-able) and rsync-friendly.
-* :class:`SqliteCache` — a single SQLite file with an ``entries`` table;
-  recency and hit counts are columns.  Better for large caches (one file
-  handle, indexed eviction).
-
-Both enforce an LRU bound of ``max_entries`` and count hits/misses/stores/
-evictions, which flow into ``GET /v1/stats``.  Only *solved* reports are
+The backend enforces an LRU bound of ``max_entries`` and counts hits/misses/
+stores/evictions, which flow into ``GET /v1/stats``.  Only *solved* reports are
 stored: cancelled runs answer a different question, and an
 unsolved-within-budget outcome depends on machine load at the time — caching
 it would permanently poison the entry for a problem that a calmer retry
@@ -28,7 +23,7 @@ would solve.
 The cache is an optimisation, so it is never allowed to become a liability:
 a **corrupt entry** (torn write, bit rot, hand-edited file) is quarantined —
 removed from the store, counted in ``quarantined`` — and answered as a miss;
-a **failing backend** (disk gone, database locked up) degrades instead of
+a **failing backend** (disk gone, directory unwritable) degrades instead of
 erroring: after ``breaker_threshold`` consecutive backend failures a circuit
 breaker opens and every operation short-circuits to the miss/skip path (the
 semantics of :class:`NullCache`) until a ``breaker_cooldown``-spaced probe
@@ -41,7 +36,6 @@ from __future__ import annotations
 
 import json
 import os
-import sqlite3
 import threading
 import time
 from pathlib import Path
@@ -99,9 +93,6 @@ class ResultCache:
     def _evict_lru(self) -> int:
         """Drop least-recently-used entries down to the bound; return count."""
         raise NotImplementedError
-
-    def _recover_save(self) -> None:
-        """Undo a half-done save after a write failure (backend-specific)."""
 
     def _low_water(self) -> int:
         """Eviction target once over the bound: 90% of ``max_entries``.
@@ -198,10 +189,6 @@ class ResultCache:
             except Exception:
                 self.write_errors += 1
                 self._note_error("write")
-                try:
-                    self._recover_save()
-                except Exception:
-                    pass
                 return
             self._note_ok("write")
 
@@ -335,96 +322,9 @@ class JsonDirCache(ResultCache):
         return sum(1 for _ in self.path.glob("*.json"))
 
 
-class SqliteCache(ResultCache):
-    """All reports in one SQLite file; recency and hit counts are columns."""
-
-    BACKEND = "sqlite"
-
-    def __init__(self, path: "str | Path", max_entries: int = 1024, **kwargs: Any):
-        super().__init__(max_entries, **kwargs)
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        # The service's handler threads share this connection; every access
-        # happens under self._lock, so check_same_thread can be off.
-        self._db = sqlite3.connect(str(self.path), check_same_thread=False)
-        self._db.execute(
-            "CREATE TABLE IF NOT EXISTS entries ("
-            " key TEXT PRIMARY KEY,"
-            " report TEXT NOT NULL,"
-            " created REAL NOT NULL,"
-            " last_used REAL NOT NULL,"
-            " hit_count INTEGER NOT NULL DEFAULT 0)"
-        )
-        self._db.execute(
-            "CREATE INDEX IF NOT EXISTS entries_last_used ON entries(last_used)"
-        )
-        self._db.commit()
-
-    def _load(self, key: str) -> Optional[Dict[str, Any]]:
-        row = self._db.execute(
-            "SELECT report FROM entries WHERE key = ?", (key,)
-        ).fetchone()
-        if row is None:
-            return None
-        try:
-            report = json.loads(row[0])
-        except ValueError:
-            report = None
-        if not isinstance(report, dict):
-            # Quarantine = delete the one bad row; the table itself is fine.
-            self._db.execute("DELETE FROM entries WHERE key = ?", (key,))
-            self._db.commit()
-            raise CacheCorruption(key)
-        self._db.execute(
-            "UPDATE entries SET last_used = ?, hit_count = hit_count + 1"
-            " WHERE key = ?",
-            (time.time(), key),
-        )
-        self._db.commit()
-        return report
-
-    def _save(self, key: str, report: Dict[str, Any]) -> None:
-        now = time.time()
-        self._db.execute(
-            "INSERT INTO entries(key, report, created, last_used, hit_count)"
-            " VALUES (?, ?, ?, ?, 0)"
-            " ON CONFLICT(key) DO UPDATE SET report = excluded.report,"
-            " last_used = excluded.last_used",
-            (key, json.dumps(report), now, now),
-        )
-        # The commit point: a crash (or injected fault) here must roll the
-        # pending insert back, or the *next* commit would smuggle it in.
-        fault_point("cache.write")
-        self._db.commit()
-
-    def _recover_save(self) -> None:
-        self._db.rollback()
-
-    def _evict_lru(self) -> int:
-        (count,) = self._db.execute("SELECT COUNT(*) FROM entries").fetchone()
-        if count <= self.max_entries:
-            return 0
-        excess = count - self._low_water()
-        self._db.execute(
-            "DELETE FROM entries WHERE key IN"
-            " (SELECT key FROM entries ORDER BY last_used ASC LIMIT ?)",
-            (excess,),
-        )
-        self._db.commit()
-        return excess
-
-    def __len__(self) -> int:
-        (count,) = self._db.execute("SELECT COUNT(*) FROM entries").fetchone()
-        return count
-
-    def close(self) -> None:
-        self._db.close()
-
-
 #: Registry used by ``regel serve --cache-backend``.
 CACHE_BACKENDS = {
     "json": JsonDirCache,
-    "sqlite": SqliteCache,
 }
 
 

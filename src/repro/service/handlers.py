@@ -74,10 +74,9 @@ class ServiceConfig:
     workers: int = 2
     #: Bounded job queue; a full queue answers 429.
     queue_size: int = 16
-    #: ``json`` (directory of files), ``sqlite``, or ``null`` (disabled).
+    #: ``json`` (directory of files) or ``null`` (disabled).
     cache_backend: str = "json"
-    #: Directory (json) or database file (sqlite); None picks a default
-    #: under the working directory.
+    #: Cache directory; None picks a default under the working directory.
     cache_path: Optional[str] = None
     cache_max_entries: int = 1024
     #: Scheduler each worker session runs (see :data:`repro.api.SCHEDULERS`).
@@ -104,13 +103,7 @@ class ServiceConfig:
     faults: Optional[str] = None
 
     def resolved_cache_path(self) -> str:
-        if self.cache_path is not None:
-            return self.cache_path
-        return (
-            ".regel-cache.sqlite"
-            if self.cache_backend == "sqlite"
-            else ".regel-cache"
-        )
+        return self.cache_path if self.cache_path is not None else ".regel-cache"
 
     def resolved_batch_dir(self) -> str:
         if self.batch_dir is not None:

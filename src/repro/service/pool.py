@@ -11,10 +11,11 @@ raises :class:`PoolSaturated` and the HTTP layer answers 429 — back-pressure
 instead of unbounded memory growth.  Each worker owns one long-lived
 :class:`~repro.api.Session` (the session holds the trained semantic parser,
 which is exactly the expensive state worth keeping warm); the session's
-scheduler — :class:`~repro.api.InterleavedScheduler` by default,
-:class:`~repro.api.ProcessPoolScheduler` for multi-core deployments — is
-what enforces each job's wall-clock budget, so deadline enforcement needs no
-thread killing.  Shutdown is graceful: queued jobs are cancelled, running
+scheduler — the in-process :class:`~repro.api.InterleavedScheduler` by
+default, :class:`~repro.api.ProcessPoolScheduler` for multi-core
+deployments — is what enforces each job's wall-clock budget and per-sketch
+timeout, so deadline enforcement needs no thread killing (the process pool
+terminates its own workers when a job ends).  Shutdown is graceful: queued jobs are cancelled, running
 jobs get their cancel tokens fired, and workers are joined.
 """
 

@@ -1,6 +1,8 @@
-"""Tests for the pipeline API: specs, providers, schedulers, sessions, shims."""
+"""Tests for the pipeline API: specs, providers, schedulers, sessions."""
 
+import dataclasses
 import json
+import multiprocessing
 import time
 
 import pytest
@@ -12,18 +14,19 @@ from repro.api import (
     PbeOnlyProvider,
     Problem,
     ProcessPoolScheduler,
+    SCHEDULERS,
     RunReport,
-    SequentialScheduler,
     Session,
     SketchReport,
     Solution,
     StaticSketchProvider,
     make_scheduler,
 )
+from repro.api.schedulers import SLICE_EXPANSIONS
 from repro.dsl import matches
-from repro.multimodal.regel import Regel, RegelResult, pbe_only_sketches
+from repro.dsl.printer import to_dsl_string
 from repro.sketch import Hole, parse_sketch
-from repro.synthesis import EngineVariant, SynthesisConfig
+from repro.synthesis import EngineVariant, SynthesisConfig, Synthesizer
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +115,6 @@ class TestRunReportSerialisation:
 
 class TestProviders:
     def test_pbe_only_matches_legacy_sketch_list(self):
-        assert PbeOnlyProvider().sketches(THREE_DIGITS) == pbe_only_sketches()
         assert PbeOnlyProvider().sketches(THREE_DIGITS) == [Hole(())]
 
     def test_static_provider_parses_strings(self):
@@ -134,27 +136,22 @@ class TestProviders:
         assert provider.sketches(Problem("")) == [Hole(())]
 
     def test_provider_equivalence_pbe(self, fast_config):
-        """PbeOnlyProvider must behave exactly like the legacy sketches= hack."""
+        """PbeOnlyProvider behaves exactly like a static single-hole sketch list."""
         problem = Problem("", positive=["123", "456"], negative=["12", "abcd"], budget=8.0)
         via_provider = Session(provider=PbeOnlyProvider(), config=fast_config).solve(problem)
-        with pytest.warns(DeprecationWarning):
-            via_legacy = Regel(config=fast_config).synthesize(
-                "", problem.positive, problem.negative, k=1, time_budget=8.0,
-                sketches=pbe_only_sketches(),
-            )
-        assert via_provider.solved and via_legacy.solved
-        assert via_provider.best.regex == str(via_legacy.best)
+        via_static = Session(
+            provider=StaticSketchProvider(["Hole()"]), config=fast_config
+        ).solve(problem)
+        assert via_provider.solved and via_static.solved
+        assert via_provider.best.regex == via_static.best.regex
+        assert via_provider.best.regex == "Repeat(<num>,3)"
 
 
 class TestSchedulers:
     @pytest.mark.parametrize(
         "scheduler",
-        [
-            SequentialScheduler(),
-            InterleavedScheduler(slice_seconds=0.1),
-            ProcessPoolScheduler(max_workers=2),
-        ],
-        ids=["sequential-fair", "interleaved", "process-pool"],
+        [InterleavedScheduler(), ProcessPoolScheduler()],
+        ids=["interleaved", "process-pool"],
     )
     def test_scheduler_equivalence_on_benchmark_slice(self, scheduler, fast_config):
         """All schedulers find the same best regex on easy benchmark problems."""
@@ -163,6 +160,9 @@ class TestSchedulers:
         assert report.solved, scheduler.name
         assert report.best.regex == "Repeat(<num>,3)"
         assert report.scheduler == scheduler.name
+
+    def test_session_defaults_to_interleaved(self):
+        assert isinstance(Session(provider=PbeOnlyProvider()).scheduler, InterleavedScheduler)
 
     # A pathological first sketch (unconstrained hole at full depth on examples
     # plain PBE cannot crack quickly) ahead of the trivially checkable target.
@@ -194,44 +194,116 @@ class TestSchedulers:
 
     def test_interleaved_solves_past_a_pathological_first_sketch(self):
         """A pathological first sketch must not starve an easy later sketch."""
-        interleaved = Session(
+        report = Session(
             provider=StaticSketchProvider(self.STARVATION_SKETCHES),
-            scheduler=InterleavedScheduler(slice_seconds=0.1),
             config=SynthesisConfig(timeout=6.0),  # full hole depth: Hole() is a hog
         ).solve(self.STARVATION_PROBLEM)
-        assert interleaved.solved
-        assert matches(interleaved.best.ast(), "QQ-4321")
+        assert report.solved
+        assert matches(report.best.ast(), "QQ-4321")
 
     def test_fair_sequential_reaches_later_sketches(self):
         """The fair budget fix: later sketches get slices despite a hog."""
         fair = Session(
             provider=StaticSketchProvider(self.STARVATION_SKETCHES),
-            scheduler=SequentialScheduler(),
             config=SynthesisConfig(timeout=6.0),
         ).solve(self.STARVATION_PROBLEM)
         assert fair.solved
+        # Both sketches received engine time, and the report lists them by rank.
         assert fair.sketches_tried == 2
+        assert [sketch.index for sketch in fair.sketches] == [0, 1]
+        assert fair.sketches[1].solved
+
+    def test_interleaved_honours_the_per_sketch_timeout(self):
+        """A hog is stopped at ``config.timeout``, not at the whole budget."""
+        problem = Problem(
+            description="",
+            positive=self.STARVATION_PROBLEM.positive,
+            negative=self.STARVATION_PROBLEM.negative,
+            k=1,
+            budget=3.0,
+        )
+        report = Session(
+            provider=StaticSketchProvider(["Hole()"]),
+            config=SynthesisConfig(timeout=0.3),
+        ).solve(problem)
+        (hog,) = report.sketches
+        assert hog.timed_out
+        assert hog.elapsed < 1.5
+        assert report.elapsed < 1.5
+
+    def test_process_pool_leaves_no_worker_running(self):
+        """Workers still searching when the run ends are terminated.
+
+        The hog would search for the whole 30 s budget; sketch 2 reaches
+        ``k`` at once, and no worker may outlive that.
+        """
+        report = Session(
+            provider=StaticSketchProvider(self.STARVATION_SKETCHES),
+            scheduler=ProcessPoolScheduler(),
+            config=SynthesisConfig(timeout=30.0),
+        ).solve(dataclasses.replace(self.STARVATION_PROBLEM, budget=30.0))
+        returned = time.monotonic()
+        assert report.solved
+        while multiprocessing.active_children() and time.monotonic() - returned < 2.0:
+            time.sleep(0.05)
+        assert multiprocessing.active_children() == []
 
     def test_interleaved_keeps_all_solutions_across_slices(self):
-        """Solutions found in later slices must not be lost to re-ranking."""
-        problem = Problem("", positive=["123", "456"], negative=["12", "1234"], k=3, budget=8.0)
-        config = SynthesisConfig(timeout=6.0, hole_depth=2, max_results=3)
-        provider = StaticSketchProvider(["Hole()"])
-        sequential = Session(
-            provider=provider, scheduler=SequentialScheduler(), config=config
-        ).solve(problem)
+        """Solutions found in later turns must not be lost to re-ranking.
+
+        The oracle is one uninterrupted engine run over the same sketch.
+        """
+        problem = Problem(
+            "", positive=["12.5", "1.25"], negative=["12,5", "125"], k=3, budget=8.0
+        )
+        config = SynthesisConfig(timeout=6.0, hole_depth=3, max_results=3)
+        oracle = Synthesizer(config).synthesize(Hole(()), problem.examples())
         interleaved = Session(
-            provider=provider,
-            scheduler=InterleavedScheduler(slice_expansions=1),
-            config=config,
+            provider=StaticSketchProvider(["Hole()"]), config=config
         ).solve(problem)
-        assert [s.regex for s in interleaved.solutions] == [
-            s.regex for s in sequential.solutions
-        ]
+        assert interleaved.sketches[0].expansions > SLICE_EXPANSIONS  # several turns
         assert len(interleaved.solutions) == 3
+        assert [s.regex for s in interleaved.solutions] == [
+            to_dsl_string(regex) for regex in oracle.regexes
+        ]
+
+    def test_in_process_and_process_pool_agree(self):
+        """Under an expansion cap, both schedulers do identical work.
+
+        ``k`` is at least the sketch count, so neither scheduler cancels a
+        run: each sketch's search is the same deterministic computation
+        whether it runs in turns in-process or whole in a worker.
+        """
+        sketches = [
+            "Hole()",
+            "Concat(Repeat(<cap>,2),Concat(<->,Repeat(<num>,4)))",
+            "Concat(Hole(<cap>),Hole(<num>))",
+        ]
+        problem = Problem(
+            "",
+            positive=["AB-1234", "XY-0001"],
+            negative=["AB1234", "A-1234", "ab-1234", "AB-123"],
+            k=len(sketches),
+            budget=60.0,
+        )
+        config = SynthesisConfig(timeout=60.0, hole_depth=2, max_expansions=150)
+
+        def observed(scheduler):
+            report = Session(
+                provider=StaticSketchProvider(sketches), scheduler=scheduler, config=config
+            ).solve(problem)
+            work = [[s.index, s.expansions, s.pruned] for s in report.sketches]
+            return [s.regex for s in report.solutions], work
+
+        solutions, work = observed(InterleavedScheduler())
+        assert (solutions, work) == observed(ProcessPoolScheduler())
+        assert solutions
+        assert [index for index, _, _ in work] == [0, 1, 2]
+        # The cap binds after several turns, so resumption is exercised.
+        assert max(expansions for _, expansions, _ in work) == 150 > SLICE_EXPANSIONS
 
     def test_interleaved_reports_only_attempted_sketches(self, fast_config):
-        """Sketches that never received a slice are not phantom attempts."""
+        """Sketches that never received a turn are not phantom attempts."""
         provider = StaticSketchProvider(["Repeat(<num>,3)"] + ["Hole()"] * 4)
         problem = Problem("", positive=["123"], negative=["12"], k=1, budget=8.0)
         report = Session(
@@ -242,11 +314,11 @@ class TestSchedulers:
         assert all(sketch.expansions > 0 for sketch in report.sketches)
 
     def test_make_scheduler_registry(self):
-        assert make_scheduler("sequential").name == "sequential"
+        assert sorted(SCHEDULERS) == ["interleaved", "process-pool"]
         assert make_scheduler("interleaved").name == "interleaved"
         assert make_scheduler("process-pool").name == "process-pool"
         with pytest.raises(ValueError):
-            make_scheduler("warp-drive")
+            make_scheduler("sequential")
 
 
 class TestSessionStreaming:
@@ -275,7 +347,7 @@ class TestSessionStreaming:
         )
         session = Session(
             provider=StaticSketchProvider(["Repeat(<num>,3)", "Hole()"]),
-            scheduler=InterleavedScheduler(slice_seconds=0.05),
+            scheduler=InterleavedScheduler(),
             config=fast_config,
         )
         start = time.monotonic()
@@ -334,63 +406,6 @@ class TestTelemetry:
         assert any(solved_flags) and not all(solved_flags)
         assert all(sketch.elapsed >= 0.0 for sketch in report.sketches)
         assert report.total_expansions > 0
-
-    def test_regel_result_tags_solved_sketches(self, fast_config):
-        with pytest.warns(DeprecationWarning):
-            result = Regel(config=fast_config).synthesize(
-                "",
-                positive=["123"],
-                negative=["12"],
-                k=1,
-                time_budget=8.0,
-                sketches=[
-                    parse_sketch("Concat(<a>,<b>)"),
-                    parse_sketch("Repeat(<num>,3)"),
-                ],
-            )
-        assert result.solved
-        assert len(result.per_sketch_times) == result.sketches_tried
-        assert len(result.per_sketch_solved) == result.sketches_tried
-        assert any(result.per_sketch_solved)
-        assert result.solved_sketch_times  # the legacy metric is derivable
-
-
-class TestDeprecationShim:
-    def test_synthesize_warns_and_solves(self, fast_config):
-        tool = Regel(config=fast_config, num_sketches=10)
-        with pytest.warns(DeprecationWarning, match="Session"):
-            result = tool.synthesize(
-                "3 digits", positive=["123"], negative=["12"], k=1, time_budget=8.0
-            )
-        assert isinstance(result, RegelResult)
-        assert result.solved
-        assert matches(result.best, "999")
-
-    def test_empty_sketch_list_returns_unsolved_immediately(self, fast_config):
-        """Historical semantics: sketches=[] means nothing to try."""
-        with pytest.warns(DeprecationWarning):
-            result = Regel(config=fast_config).synthesize(
-                "3 digits", ["123"], ["12"], time_budget=30.0, sketches=[]
-            )
-        assert not result.solved
-        assert result.sketches_tried == 0
-
-    def test_shim_matches_pipeline_output(self, fast_config):
-        problem = THREE_DIGITS
-        report = Session(
-            provider=NlSketchProvider(num_sketches=10),
-            scheduler=InterleavedScheduler(),
-            config=fast_config,
-        ).solve(problem)
-        with pytest.warns(DeprecationWarning):
-            legacy = Regel(config=fast_config, num_sketches=10).synthesize(
-                problem.description,
-                problem.positive,
-                problem.negative,
-                k=problem.k,
-                time_budget=problem.budget,
-            )
-        assert report.best.regex == str(legacy.best)
 
 
 class TestCliJson:

@@ -19,13 +19,13 @@ from repro import faults
 from repro.api import Problem, RunReport
 from repro.faults import InjectedFault
 from repro.service import (
+    CACHE_BACKENDS,
     JobLostError,
     JsonDirCache,
     ServiceClient,
     ServiceConfig,
     ServiceError,
     ServiceState,
-    SqliteCache,
     WorkerPool,
     start_server,
 )
@@ -45,9 +45,7 @@ def disarm():
 
 
 def _open_cache(kind, tmp_path, **kwargs):
-    if kind == "json":
-        return JsonDirCache(tmp_path / "cache", **kwargs)
-    return SqliteCache(tmp_path / "cache.sqlite", **kwargs)
+    return CACHE_BACKENDS[kind](tmp_path / "cache", **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -56,18 +54,12 @@ def _open_cache(kind, tmp_path, **kwargs):
 
 
 class TestCacheQuarantine:
-    @pytest.mark.parametrize("kind", ["json", "sqlite"])
+    @pytest.mark.parametrize("kind", sorted(CACHE_BACKENDS))
     def test_corrupt_entry_is_a_miss_not_an_error(self, kind, tmp_path):
         cache = _open_cache(kind, tmp_path)
         key = "a" * 64
         cache.put(key, {"solved": True})
-        if kind == "json":
-            (tmp_path / "cache" / f"{key}.json").write_text("{torn mid-wri")
-        else:
-            cache._db.execute(
-                "UPDATE entries SET report = '[torn' WHERE key = ?", (key,)
-            )
-            cache._db.commit()
+        (tmp_path / "cache" / f"{key}.json").write_text("{torn mid-wri")
         assert cache.get(key) is None
         stats = cache.stats()
         assert stats["quarantined"] == 1
@@ -89,7 +81,7 @@ class TestCacheQuarantine:
 
 
 class TestCacheBreaker:
-    @pytest.mark.parametrize("kind", ["json", "sqlite"])
+    @pytest.mark.parametrize("kind", sorted(CACHE_BACKENDS))
     def test_breaker_trips_and_recovers(self, kind, tmp_path):
         cache = _open_cache(
             kind, tmp_path, breaker_threshold=3, breaker_cooldown=0.05
@@ -150,7 +142,7 @@ class TestCacheBreaker:
 
 
 class TestCacheCrashConsistency:
-    @pytest.mark.parametrize("kind", ["json", "sqlite"])
+    @pytest.mark.parametrize("kind", sorted(CACHE_BACKENDS))
     def test_write_killed_midway_leaves_no_torn_entry(self, kind, tmp_path):
         cache = _open_cache(kind, tmp_path)
         key = "e" * 64
@@ -165,7 +157,7 @@ class TestCacheCrashConsistency:
         assert reopened.get(key) == {"v": 2}
         reopened.close()
 
-    @pytest.mark.parametrize("kind", ["json", "sqlite"])
+    @pytest.mark.parametrize("kind", sorted(CACHE_BACKENDS))
     def test_overwrite_killed_midway_preserves_old_value(self, kind, tmp_path):
         cache = _open_cache(kind, tmp_path)
         key = "f" * 64

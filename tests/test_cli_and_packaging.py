@@ -15,10 +15,10 @@ class TestPublicApi:
         assert repro.__version__
 
     def test_top_level_exports(self):
-        from repro import Regel, SemanticParser, SynthesisConfig, synthesize
+        from repro import SemanticParser, Session, SynthesisConfig, synthesize
 
         assert callable(synthesize)
-        assert Regel and SemanticParser and SynthesisConfig
+        assert Session and SemanticParser and SynthesisConfig
 
     def test_subpackages_importable(self):
         import repro.automata

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.baselines import DeepRegexBaseline, RegelPbe
+from repro.api import NlSketchProvider, PbeOnlyProvider, Problem, Session
+from repro.baselines import DeepRegexBaseline
 from repro.datasets import Benchmark, stackoverflow_dataset
 from repro.dsl import matches
-from repro.multimodal import Regel, run_interactive
-from repro.multimodal.regel import pbe_only_sketches
+from repro.multimodal import run_interactive
 from repro.sketch import Hole
 from repro.synthesis import SynthesisConfig
 
@@ -16,68 +16,72 @@ def fast_config():
     return SynthesisConfig(timeout=6.0, hole_depth=2)
 
 
+def regel(config, num_sketches):
+    """The full tool: the semantic parser's sketches completed by the engine."""
+    return Session(provider=NlSketchProvider(num_sketches=num_sketches), config=config)
+
+
 class TestRegelEndToEnd:
     def test_simple_description_and_examples(self, fast_config):
-        tool = Regel(config=fast_config, num_sketches=10)
-        result = tool.synthesize(
-            "2 letters followed by 3 digits",
-            positive=["ab123", "xy987"],
-            negative=["ab12", "a123", "12345"],
-            k=1,
-            time_budget=8.0,
+        report = regel(fast_config, 10).solve(
+            Problem(
+                "2 letters followed by 3 digits",
+                positive=["ab123", "xy987"],
+                negative=["ab12", "a123", "12345"],
+                k=1,
+                budget=8.0,
+            )
         )
-        assert result.solved
-        regex = result.best
+        assert report.solved
+        regex = report.best.ast()
         assert matches(regex, "qq000")
         assert not matches(regex, "qq00")
 
     def test_returns_at_most_k(self, fast_config):
-        tool = Regel(config=fast_config, num_sketches=10)
-        result = tool.synthesize(
-            "3 digits",
-            positive=["123", "456"],
-            negative=["12", "1234"],
-            k=3,
-            time_budget=8.0,
+        report = regel(fast_config, 10).solve(
+            Problem("3 digits", positive=["123", "456"], negative=["12", "1234"], k=3, budget=8.0)
         )
-        assert 1 <= len(result.regexes) <= 3
-        assert all(matches(r, "789") for r in result.regexes)
+        assert 1 <= len(report.solutions) <= 3
+        assert all(matches(solution.ast(), "789") for solution in report.solutions)
 
     def test_examples_disambiguate_misleading_text(self, fast_config):
         """The NL says 'comma' but the examples use a period (Section 2 situation)."""
-        tool = Regel(config=fast_config, num_sketches=15)
-        result = tool.synthesize(
-            "numbers then a comma then at max 3 numbers",
-            positive=["12.5", "1.25", "123.1"],
-            negative=["12,5", "1.2345"],
-            k=1,
-            time_budget=8.0,
+        report = regel(fast_config, 15).solve(
+            Problem(
+                "numbers then a comma then at max 3 numbers",
+                positive=["12.5", "1.25", "123.1"],
+                negative=["12,5", "1.2345"],
+                k=1,
+                budget=8.0,
+            )
         )
-        assert result.solved
-        assert matches(result.best, "99.1")
-        assert not matches(result.best, "99,1")
+        assert report.solved
+        assert matches(report.best.ast(), "99.1")
+        assert not matches(report.best.ast(), "99,1")
 
     def test_budget_limits_sketches_tried(self, fast_config):
-        tool = Regel(config=fast_config, num_sketches=25)
-        result = tool.synthesize(
-            "letters and digits and dashes mixed somehow",
-            positive=["a-1"],
-            negative=["###"],
-            k=1,
-            time_budget=0.05,
+        report = regel(fast_config, 25).solve(
+            Problem(
+                "letters and digits and dashes mixed somehow",
+                positive=["a-1"],
+                negative=["###"],
+                k=1,
+                budget=0.05,
+            )
         )
-        assert result.elapsed < 5.0
+        assert report.elapsed < 5.0
 
 
 class TestBaselines:
     def test_pbe_only_uses_unconstrained_hole(self):
-        assert pbe_only_sketches() == [Hole(())]
+        assert PbeOnlyProvider().sketches(Problem("3 digits")) == [Hole(())]
 
     def test_pbe_only_solves_simple_task(self, fast_config):
-        pbe = RegelPbe(config=fast_config)
-        result = pbe.solve(["123", "456"], ["12", "abcd"], k=1, time_budget=8.0)
-        assert result.solved
-        assert matches(result.best, "999")
+        report = Session(provider=PbeOnlyProvider(), config=fast_config).solve(
+            Problem("", positive=["123", "456"], negative=["12", "abcd"], k=1, budget=8.0)
+        )
+        assert report.solved
+        assert matches(report.best.ast(), "999")
 
     def test_deepregex_ignores_examples(self):
         baseline = DeepRegexBaseline()
@@ -134,13 +138,13 @@ class TestInteractiveProtocol:
 
     def test_interactive_with_real_tool_on_benchmark(self, fast_config):
         benchmark = stackoverflow_dataset()[5]  # the percentage benchmark
-        tool = Regel(config=fast_config, num_sketches=10)
+        tool = regel(fast_config, 10)
 
         def solve(positive, negative):
-            result = tool.synthesize(
-                benchmark.description, positive, negative, k=3, time_budget=6.0
+            report = tool.solve(
+                Problem(benchmark.description, positive, negative, k=3, budget=6.0)
             )
-            return result.regexes, result.elapsed
+            return [solution.ast() for solution in report.solutions], report.elapsed
 
         session = run_interactive(benchmark, solve, max_iterations=1)
         assert session.outcomes

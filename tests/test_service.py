@@ -1,4 +1,4 @@
-"""Tests for the HTTP/JSON service: cache backends, pool, handlers, server."""
+"""Tests for the HTTP/JSON service: result cache, pool, handlers, server."""
 
 import json
 import threading
@@ -10,6 +10,7 @@ import pytest
 
 from repro.api import Problem, RunReport
 from repro.service import (
+    CACHE_BACKENDS,
     JsonDirCache,
     NullCache,
     PoolSaturated,
@@ -17,7 +18,6 @@ from repro.service import (
     ServiceConfig,
     ServiceError,
     ServiceState,
-    SqliteCache,
     WorkerPool,
     make_cache,
     start_server,
@@ -62,14 +62,9 @@ class TestProblemHashing:
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture(params=["json", "sqlite"])
+@pytest.fixture(params=sorted(CACHE_BACKENDS))
 def cache(request, tmp_path):
-    if request.param == "json":
-        backend = JsonDirCache(tmp_path / "cache", max_entries=3)
-    else:
-        backend = SqliteCache(tmp_path / "cache.sqlite", max_entries=3)
-    yield backend
-    backend.close()
+    return CACHE_BACKENDS[request.param](tmp_path / "cache", max_entries=3)
 
 
 class TestResultCache:
@@ -108,13 +103,8 @@ class TestResultCache:
 
     def test_persistence_across_instances(self, cache, tmp_path):
         cache.put("c" * 64, {"v": 3})
-        if isinstance(cache, JsonDirCache):
-            reopened = JsonDirCache(tmp_path / "cache", max_entries=3)
-        else:
-            cache.close()
-            reopened = SqliteCache(tmp_path / "cache.sqlite", max_entries=3)
+        reopened = type(cache)(tmp_path / "cache", max_entries=3)
         assert reopened.get("c" * 64) == {"v": 3}
-        reopened.close()
 
     def test_malformed_key_rejected(self, tmp_path):
         backend = JsonDirCache(tmp_path / "cache")
@@ -129,8 +119,9 @@ class TestResultCache:
 
     def test_make_cache_registry(self, tmp_path):
         assert isinstance(make_cache("null", tmp_path), NullCache)
+        assert isinstance(make_cache("json", tmp_path / "cache"), JsonDirCache)
         with pytest.raises(ValueError):
-            make_cache("redis", tmp_path)
+            make_cache("sqlite", tmp_path)
 
 
 # ---------------------------------------------------------------------------
