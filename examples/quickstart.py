@@ -4,18 +4,20 @@ Uses the pipeline API: a frozen :class:`~repro.api.Problem` spec, a
 :class:`~repro.api.Session` with an interleaved portfolio scheduler (the
 paper's run-one-engine-per-sketch-in-parallel semantics, in-process), and the
 streaming ``iter_solutions`` generator that yields each regex the moment an
-engine instance finds it — long before the full budget elapses.
+engine instance finds it — long before the full budget elapses.  The exit
+status is 1 if no regex is found.
 
 Run with:  python examples/quickstart.py
 """
 
+import sys
 import time
 
 from repro.api import InterleavedScheduler, Problem, Session
 from repro.dsl import matches
 
 
-def main() -> None:
+def main() -> int:
     # The user describes the task in English *and* gives a few examples.
     problem = Problem(
         description="2 letters followed by a dash and then 4 digits",
@@ -36,7 +38,7 @@ def main() -> None:
     report = session.last_report
     if not report.solved:
         print("No regex found within the time budget.")
-        return
+        return 1
 
     print(
         f"\nTried {report.sketches_tried} sketches in {report.elapsed:.2f}s "
@@ -51,7 +53,8 @@ def main() -> None:
     # Problems and reports round-trip through JSON — ready for batch files,
     # queues, and services:
     print(f"\nProblem as JSON: {problem.to_json()}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

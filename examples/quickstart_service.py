@@ -24,7 +24,7 @@ from repro.service import ServiceClient, ServiceConfig, start_server
 def main() -> None:
     cache_dir = tempfile.mkdtemp(prefix="regel-cache-")
     server = start_server(
-        ServiceConfig(port=0, workers=2, cache_backend="json", cache_path=cache_dir)
+        ServiceConfig(port=0, workers=2, cache_path=cache_dir)
     )
     host, port = server.server_address[:2]
     client = ServiceClient(f"http://{host}:{port}")

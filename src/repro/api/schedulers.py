@@ -206,7 +206,7 @@ def _pool_width(sketches: int) -> int:
 
 
 class ProcessPoolScheduler:
-    """True multi-core portfolio: one worker process per sketch.
+    """Portfolio over worker processes: one process-pool task per sketch.
 
     The pool has one worker per CPU this process may run on, capped by the
     number of sketches, and each sketch gets the whole remaining budget (the

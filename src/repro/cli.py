@@ -221,12 +221,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--sketches", type=int, default=25, help="sketches per problem")
     serve.add_argument(
-        "--cache-backend",
-        choices=["json", "null"],
-        default="json",
-        help="persistent result cache backend ('null' disables caching)",
-    )
-    serve.add_argument(
         "--cache-path", default=None,
         help="cache directory (default .regel-cache)",
     )
@@ -619,7 +613,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         queue_size=args.queue_size,
         scheduler=args.scheduler,
         sketches=args.sketches,
-        cache_backend=args.cache_backend,
         cache_path=args.cache_path,
         cache_max_entries=args.cache_max_entries,
         max_budget=args.max_budget,

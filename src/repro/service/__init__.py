@@ -24,14 +24,7 @@ from repro.service.batch import (
     BatchRecord,
     BatchStore,
 )
-from repro.service.cache import (
-    CACHE_BACKENDS,
-    CacheCorruption,
-    JsonDirCache,
-    NullCache,
-    ResultCache,
-    make_cache,
-)
+from repro.service.cache import CacheCorruption, ResultCache
 from repro.service.client import JobLostError, ServiceClient, ServiceError
 from repro.service.handlers import ServiceConfig, ServiceState
 from repro.service.pool import Job, PoolSaturated, WorkerPool
@@ -42,12 +35,8 @@ __all__ = [
     "ITEM_STATUSES",
     "BatchRecord",
     "BatchStore",
-    "CACHE_BACKENDS",
     "CacheCorruption",
-    "JsonDirCache",
-    "NullCache",
     "ResultCache",
-    "make_cache",
     "JobLostError",
     "ServiceClient",
     "ServiceError",

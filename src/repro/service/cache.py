@@ -8,28 +8,30 @@ the key is :meth:`repro.api.Problem.cache_key` (SHA-256 of the canonical
 problem JSON) and the value is a completed :class:`~repro.api.RunReport`
 dict.
 
-The persistent backend, :class:`JsonDirCache`, keeps one ``<key>.json``
-file per entry in a directory and tracks recency through file mtimes: it is
-stdlib-only, safe under the service's thread pool, trivially inspectable
-(``cat``-able) and rsync-friendly.  :class:`NullCache` disables caching.
+:class:`ResultCache` keeps one ``<key>.json`` file per entry in a directory
+and tracks recency through file mtimes: it is stdlib-only, safe under the
+service's thread pool, trivially inspectable (``cat``-able) and
+rsync-friendly.
 
-The backend enforces an LRU bound of ``max_entries`` and counts hits/misses/
-stores/evictions, which flow into ``GET /v1/stats``.  Only *solved* reports are
-stored: cancelled runs answer a different question, and an
-unsolved-within-budget outcome depends on machine load at the time — caching
-it would permanently poison the entry for a problem that a calmer retry
-would solve.
+The cache enforces an LRU bound of ``max_entries`` and counts hits/misses/
+stores/evictions, which flow into ``GET /v1/stats``.  The entry count is kept
+in memory (one directory scan at construction, re-synced by the scan that
+eviction does anyway), so a store below the bound never lists the directory.
+Only *solved* reports are stored: cancelled runs answer a different
+question, and an unsolved-within-budget outcome depends on machine load at
+the time — caching it would permanently poison the entry for a problem that
+a calmer retry would solve.
 
 The cache is an optimisation, so it is never allowed to become a liability:
 a **corrupt entry** (torn write, bit rot, hand-edited file) is quarantined —
-removed from the store, counted in ``quarantined`` — and answered as a miss;
-a **failing backend** (disk gone, directory unwritable) degrades instead of
-erroring: after ``breaker_threshold`` consecutive backend failures a circuit
-breaker opens and every operation short-circuits to the miss/skip path (the
-semantics of :class:`NullCache`) until a ``breaker_cooldown``-spaced probe
-succeeds again.  ``/v1/healthz`` reports the open breaker as ``degraded``.
-The deterministic chaos suite drives both paths through the
-``cache.read`` / ``cache.write`` fault points (:mod:`repro.faults`).
+moved out of the store, counted in ``quarantined`` — and answered as a miss;
+a **failing disk** (directory gone or unwritable) degrades instead of
+erroring: after ``breaker_threshold`` consecutive failures a circuit breaker
+opens and every operation short-circuits to the miss/skip path until a
+``breaker_cooldown``-spaced probe succeeds again.  ``/v1/healthz`` reports
+the open breaker as ``degraded``.  The deterministic chaos suite drives both
+paths through the ``cache.read`` / ``cache.write`` fault points
+(:mod:`repro.faults`).
 """
 
 from __future__ import annotations
@@ -45,14 +47,15 @@ from repro.faults import fault_point
 
 
 class CacheCorruption(Exception):
-    """A stored entry failed to decode; the backend has quarantined it."""
+    """A stored entry failed to decode; the cache has quarantined it."""
 
 
 class ResultCache:
-    """Base class: counters, circuit breaker, and degradation shared by backends."""
+    """One JSON file per cached report, LRU via file mtimes, with a breaker."""
 
     def __init__(
         self,
+        path: "str | Path",
         max_entries: int = 1024,
         breaker_threshold: int = 5,
         breaker_cooldown: float = 30.0,
@@ -61,17 +64,21 @@ class ResultCache:
             raise ValueError("max_entries must be >= 1")
         if breaker_threshold < 1:
             raise ValueError("breaker_threshold must be >= 1")
+        self.path = Path(path)
+        self.path.mkdir(parents=True, exist_ok=True)
         self.max_entries = max_entries
         self.breaker_threshold = breaker_threshold
         self.breaker_cooldown = breaker_cooldown
         self._lock = threading.Lock()
+        #: ``*.json`` files in the store (mutated under ``self._lock``).
+        self._entries = sum(1 for _ in self.path.glob("*.json"))
         self.hits = 0
         self.misses = 0
         self.stores = 0
         self.evictions = 0
         #: Corrupt entries detected, removed, and answered as misses.
         self.quarantined = 0
-        #: Backend failures absorbed on the read / write path.
+        #: Disk failures absorbed on the read / write path.
         self.read_errors = 0
         self.write_errors = 0
         #: Circuit-breaker state (all mutated under ``self._lock``).  Error
@@ -82,34 +89,91 @@ class ResultCache:
         self._consecutive_errors = {"read": 0, "write": 0}
         self._opened_at: Optional[float] = None
 
-    # Backend hooks ----------------------------------------------------------
+    # Storage (callers hold self._lock) --------------------------------------
+
+    def _entry(self, key: str) -> Path:
+        if not key.isalnum():
+            # Keys are hex digests; anything else must not touch the fs.
+            raise ValueError(f"malformed cache key: {key!r}")
+        return self.path / f"{key}.json"
+
+    def _quarantine(self, entry: Path) -> None:
+        """Move a corrupt entry aside (``.quarantined`` never matches the
+        ``*.json`` globs, so it is out of the store but kept for inspection)."""
+        try:
+            os.replace(entry, entry.with_suffix(".quarantined"))
+        except OSError:
+            try:
+                entry.unlink()
+            except OSError:
+                return
+        self._entries -= 1
 
     def _load(self, key: str) -> Optional[Dict[str, Any]]:
-        raise NotImplementedError
+        entry = self._entry(key)
+        try:
+            text = entry.read_text(encoding="utf-8")
+        except FileNotFoundError:
+            return None  # a plain miss, not a disk failure
+        try:
+            report = json.loads(text)
+        except ValueError:
+            report = None
+        if not isinstance(report, dict):
+            # Torn write or external corruption: quarantine and miss.
+            self._quarantine(entry)
+            raise CacheCorruption(key)
+        try:
+            os.utime(entry)  # refresh recency; entry may vanish externally
+        except OSError:
+            pass
+        return report
 
     def _save(self, key: str, report: Dict[str, Any]) -> None:
-        raise NotImplementedError
+        entry = self._entry(key)
+        new = not entry.exists()
+        tmp = entry.with_suffix(".tmp")
+        tmp.write_text(json.dumps(report), encoding="utf-8")
+        # The commit point: a crash (or injected fault) before the rename
+        # leaves only the ``.tmp`` debris — readers never see a torn entry.
+        fault_point("cache.write")
+        os.replace(tmp, entry)
+        if new:
+            self._entries += 1
 
     def _evict_lru(self) -> int:
-        """Drop least-recently-used entries down to the bound; return count."""
-        raise NotImplementedError
+        """Drop least-recently-used entries down to 90% of the bound.
 
-    def _low_water(self) -> int:
-        """Eviction target once over the bound: 90% of ``max_entries``.
-
-        Evicting in batches instead of one-at-a-time keeps the steady-state
-        write path cheap — without this, every store at capacity would scan
-        the whole store to evict exactly one entry.
+        Evicting in batches instead of one at a time keeps the steady-state
+        write path cheap: only a store that crosses the bound scans the
+        directory, and that scan re-syncs the in-memory entry count.
         """
-        return max(1, (self.max_entries * 9) // 10)
+        if self._entries <= self.max_entries:
+            return 0
+        entries = list(self.path.glob("*.json"))
+        self._entries = len(entries)
+        if len(entries) <= self.max_entries:
+            return 0
+        entries.sort(key=lambda path: path.stat().st_mtime)
+        low_water = max(1, (self.max_entries * 9) // 10)
+        evicted = 0
+        for entry in entries[: len(entries) - low_water]:
+            try:
+                entry.unlink(missing_ok=True)
+            except OSError:
+                continue
+            evicted += 1
+        self._entries -= evicted
+        return evicted
 
     def __len__(self) -> int:
-        raise NotImplementedError
+        with self._lock:
+            return self._entries
 
     # Circuit breaker (callers hold self._lock) ------------------------------
 
     def _breaker_open(self) -> bool:
-        """True while the backend is benched; cooldown expiry allows a probe."""
+        """True while the disk is benched; cooldown expiry allows a probe."""
         if self._opened_at is None:
             return False
         return time.monotonic() - self._opened_at < self.breaker_cooldown
@@ -138,7 +202,7 @@ class ResultCache:
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The cached report for ``key``, or None — never an exception.
 
-        Corrupt entries count as ``quarantined`` misses; backend failures as
+        Corrupt entries count as ``quarantined`` misses; disk failures as
         ``read_errors`` misses (feeding the breaker).  A malformed *key* is a
         caller bug and still raises :class:`ValueError`.
         """
@@ -152,8 +216,8 @@ class ResultCache:
             except ValueError:
                 raise
             except CacheCorruption:
-                # The backend worked — it detected and removed the bad entry
-                # itself — so corruption never counts against the breaker.
+                # The disk worked — the bad entry was detected and removed —
+                # so corruption never counts against the breaker.
                 self.quarantined += 1
                 self.misses += 1
                 self._note_ok("read")
@@ -171,7 +235,7 @@ class ResultCache:
             return report
 
     def put(self, key: str, report: Dict[str, Any]) -> None:
-        """Store a completed report; a failing backend degrades to a no-op.
+        """Store a completed report; a failing disk degrades to a no-op.
 
         The cache is write-through from the pool's completion hook — a lost
         store costs a future re-solve, never correctness — so write failures
@@ -199,13 +263,9 @@ class ResultCache:
 
     def stats(self) -> Dict[str, Any]:
         with self._lock:
-            try:
-                entries = len(self)
-            except Exception:
-                entries = -1  # backend down; the breaker section says why
             return {
-                "backend": type(self).BACKEND,
-                "entries": entries,
+                "backend": "json",
+                "entries": self._entries,
                 "max_entries": self.max_entries,
                 "hits": self.hits,
                 "misses": self.misses,
@@ -222,123 +282,3 @@ class ResultCache:
                     "cooldown_seconds": self.breaker_cooldown,
                 },
             }
-
-    def close(self) -> None:  # pragma: no cover - trivial default
-        pass
-
-    BACKEND = "abstract"
-
-
-class NullCache(ResultCache):
-    """A disabled cache (``--cache-backend null``): misses always, stores nothing."""
-
-    BACKEND = "null"
-
-    def _load(self, key: str) -> Optional[Dict[str, Any]]:
-        return None
-
-    def _save(self, key: str, report: Dict[str, Any]) -> None:
-        pass
-
-    def _evict_lru(self) -> int:
-        return 0
-
-    def __len__(self) -> int:
-        return 0
-
-
-class JsonDirCache(ResultCache):
-    """One JSON file per cached report, LRU via file mtimes."""
-
-    BACKEND = "json"
-
-    def __init__(self, path: "str | Path", max_entries: int = 1024, **kwargs: Any):
-        super().__init__(max_entries, **kwargs)
-        self.path = Path(path)
-        self.path.mkdir(parents=True, exist_ok=True)
-
-    def _entry(self, key: str) -> Path:
-        if not key.isalnum():
-            # Keys are hex digests; anything else must not touch the fs.
-            raise ValueError(f"malformed cache key: {key!r}")
-        return self.path / f"{key}.json"
-
-    def _quarantine(self, entry: Path) -> None:
-        """Move a corrupt entry aside (``.quarantined`` never matches the
-        ``*.json`` globs, so it is out of the store but kept for inspection)."""
-        try:
-            os.replace(entry, entry.with_suffix(".quarantined"))
-        except OSError:
-            try:
-                entry.unlink()
-            except OSError:
-                pass
-
-    def _load(self, key: str) -> Optional[Dict[str, Any]]:
-        entry = self._entry(key)
-        try:
-            text = entry.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return None  # a plain miss, not a backend failure
-        try:
-            report = json.loads(text)
-        except ValueError:
-            report = None
-        if not isinstance(report, dict):
-            # Torn write or external corruption: quarantine and miss.
-            self._quarantine(entry)
-            raise CacheCorruption(key)
-        try:
-            os.utime(entry)  # refresh recency; entry may vanish externally
-        except OSError:
-            pass
-        return report
-
-    def _save(self, key: str, report: Dict[str, Any]) -> None:
-        entry = self._entry(key)
-        tmp = entry.with_suffix(".tmp")
-        tmp.write_text(json.dumps(report), encoding="utf-8")
-        # The commit point: a crash (or injected fault) before the rename
-        # leaves only the ``.tmp`` debris — readers never see a torn entry.
-        fault_point("cache.write")
-        os.replace(tmp, entry)
-
-    def _evict_lru(self) -> int:
-        entries = list(self.path.glob("*.json"))
-        if len(entries) <= self.max_entries:
-            return 0  # steady state: no stat-sort on the write path
-        entries.sort(key=lambda path: path.stat().st_mtime)
-        evicted = 0
-        target = self._low_water()
-        while len(entries) - evicted > target:
-            try:
-                entries[evicted].unlink()
-            except OSError:
-                pass
-            evicted += 1
-        return evicted
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.path.glob("*.json"))
-
-
-#: Registry used by ``regel serve --cache-backend``.
-CACHE_BACKENDS = {
-    "json": JsonDirCache,
-}
-
-
-def make_cache(
-    backend: str, path: "str | Path", max_entries: int = 1024
-) -> ResultCache:
-    """Instantiate a cache backend by registry name (or ``"null"``)."""
-    if backend == "null":
-        return NullCache(max_entries)
-    try:
-        factory = CACHE_BACKENDS[backend]
-    except KeyError:
-        raise ValueError(
-            f"unknown cache backend {backend!r}; choose from "
-            f"{sorted(CACHE_BACKENDS) + ['null']}"
-        ) from None
-    return factory(path, max_entries)

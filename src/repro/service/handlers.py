@@ -47,7 +47,7 @@ from repro.service.batch import (
     BatchRecord,
     BatchStore,
 )
-from repro.service.cache import ResultCache, make_cache
+from repro.service.cache import ResultCache
 from repro.service.pool import Job, PoolSaturated, WorkerPool
 from repro.service.wire import (
     JOB_DONE,
@@ -63,6 +63,11 @@ from repro.service.wire import (
 
 Response = Tuple[int, Dict[str, Any]]
 
+#: Extra wall-clock a synchronous solve may wait past the problem's budget.
+SYNC_GRACE_SECONDS = 5.0
+#: Terminal jobs kept for polling before being pruned, oldest first.
+MAX_TRACKED_JOBS = 256
+
 
 @dataclass
 class ServiceConfig:
@@ -74,8 +79,6 @@ class ServiceConfig:
     workers: int = 2
     #: Bounded job queue; a full queue answers 429.
     queue_size: int = 16
-    #: ``json`` (directory of files) or ``null`` (disabled).
-    cache_backend: str = "json"
     #: Cache directory; None picks a default under the working directory.
     cache_path: Optional[str] = None
     cache_max_entries: int = 1024
@@ -85,10 +88,6 @@ class ServiceConfig:
     sketches: int = 25
     #: Reject problems whose budget exceeds this (seconds).
     max_budget: float = 120.0
-    #: Extra wall-clock a synchronous solve may wait past the budget.
-    sync_grace: float = 5.0
-    #: Terminal jobs kept for polling before being pruned, oldest first.
-    max_tracked_jobs: int = 256
     #: Print one line per request (off in tests/benchmarks).
     log_requests: bool = field(default=False)
     #: Directory for persistent batch records; None derives a sibling of the
@@ -97,7 +96,6 @@ class ServiceConfig:
     #: Extra wall-clock past a job's budget before the pool watchdog settles
     #: it as failed (the worker is presumed wedged).
     watchdog_grace: float = 10.0
-    watchdog_interval: float = 0.25
     #: Fault-injection spec (``REPRO_FAULTS`` grammar) armed at serve time;
     #: None leaves whatever the environment configured.
     faults: Optional[str] = None
@@ -121,10 +119,8 @@ class ServiceState:
                 f"choose from {sorted(SCHEDULERS)}"
             )
         self.config = config
-        self.cache = cache if cache is not None else make_cache(
-            config.cache_backend,
-            config.resolved_cache_path(),
-            config.cache_max_entries,
+        self.cache = cache if cache is not None else ResultCache(
+            config.resolved_cache_path(), config.cache_max_entries
         )
         self.pool = WorkerPool(
             session_factory=self._make_session,
@@ -132,7 +128,6 @@ class ServiceState:
             queue_size=config.queue_size,
             on_complete=self._write_through,
             watchdog_grace=config.watchdog_grace,
-            watchdog_interval=config.watchdog_interval,
         )
         self._jobs: "OrderedDict[str, Job]" = OrderedDict()
         #: cache_key → live job, so concurrent identical requests coalesce
@@ -175,7 +170,7 @@ class ServiceState:
         self._jobs[job.id] = job
         # Prune the oldest *terminal* jobs past the tracking bound;
         # live jobs are never dropped.
-        excess = len(self._jobs) - self.config.max_tracked_jobs
+        excess = len(self._jobs) - MAX_TRACKED_JOBS
         if excess > 0:
             for job_id in [
                 jid for jid, tracked in self._jobs.items() if tracked.terminal
@@ -274,7 +269,7 @@ class ServiceState:
             job = self._coalesce_or_submit(Job(problem, cache_key=key))
         except PoolSaturated as exc:
             return 429, error_body("saturated", str(exc))
-        if not job.wait(timeout=problem.budget + self.config.sync_grace):
+        if not job.wait(timeout=problem.budget + SYNC_GRACE_SECONDS):
             # The job keeps running (and will be cached); tell the client
             # where to poll for it instead of holding the connection open.
             payload = error_body(
@@ -620,4 +615,3 @@ class ServiceState:
         if self._batch_feeder_thread is not None:
             self._batch_feeder_thread.join(timeout=5.0)
         self.pool.close()
-        self.cache.close()

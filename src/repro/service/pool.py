@@ -141,7 +141,6 @@ class WorkerPool:
         queue_size: int = 16,
         on_complete: Optional[Callable[[str, Dict[str, Any]], None]] = None,
         watchdog_grace: float = 10.0,
-        watchdog_interval: float = 0.25,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -152,7 +151,6 @@ class WorkerPool:
         self.session_factory = session_factory
         self.on_complete = on_complete
         self.watchdog_grace = watchdog_grace
-        self.watchdog_interval = watchdog_interval
         self._queue: "queue.Queue[Optional[Job]]" = queue.Queue(maxsize=queue_size)
         self._stopping = False
         self._stats_lock = threading.Lock()
@@ -275,8 +273,13 @@ class WorkerPool:
         watchdog fires the job's cancel token and — thanks to first-wins
         :meth:`Job.finish` — settles it as ``failed`` so pollers get a
         terminal answer even while the worker thread is still stuck.
+
+        It polls every quarter of the grace, capped at 0.25 s and floored at
+        10 ms so that a zero grace does not spin: a wedged job is settled
+        within about 1.25 × grace past its deadline.
         """
-        while not self._stop_event.wait(self.watchdog_interval):
+        interval = max(0.01, min(0.25, self.watchdog_grace / 4))
+        while not self._stop_event.wait(interval):
             now = time.time()
             with self._stats_lock:
                 running = list(self._running)

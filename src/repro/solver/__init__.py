@@ -16,10 +16,9 @@ implements a complete solver for exactly that fragment:
 * :mod:`repro.solver.propagate` — interval/bounds propagation to fixpoint
   (HC4-style narrowing through sums and products, constructive disjunction),
 * :mod:`repro.solver.solver` — the :class:`Solver` facade plus the
-  incremental :class:`SolverInstance` (``solve(assumptions)`` and
-  ``push``/``pop`` of clause frames), which is what the ``InferConstants``
-  loop (Figure 14) uses so blocking clauses are assumption literals over the
-  already-compiled store,
+  incremental :class:`SolverInstance` (``solve(assumptions)``), which is
+  what the ``InferConstants`` loop (Figure 14) uses so blocking clauses are
+  assumption literals over the already-compiled store,
 * :mod:`repro.solver.legacy` — the original recompute-everything
   backtracker, kept as the reference oracle for differential tests.
 """

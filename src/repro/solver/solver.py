@@ -13,9 +13,10 @@ None — but the implementation is rebuilt around a compiled constraint store
   so ``range(lo, hi + 1)`` enumeration only happens inside already-tight
   intervals, with ascending value order (small models first),
 * :class:`SolverInstance` exposes an **incremental API** —
-  ``solve(assumptions)`` plus ``push``/``pop`` of clauses — so the Figure-14
-  enumeration re-solves the same compiled store under cheap assumption
-  literals instead of rebuilding a quadratically growing conjunction.
+  ``solve(assumptions)`` over ``(variable, op, value)`` literals — so the
+  Figure-14 enumeration re-solves the same compiled store under cheap
+  assumption literals instead of rebuilding a quadratically growing
+  conjunction.
 
 The legacy implementation survives unchanged in :mod:`repro.solver.legacy`
 as the reference oracle for differential tests.
@@ -24,7 +25,7 @@ as the reference oracle for differential tests.
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.solver import terms as T
 from repro.solver.propagate import Conflict, Trail, narrow_to, propagate
@@ -33,41 +34,25 @@ from repro.solver.store import (
     _evaluate,  # noqa: F401  (re-exported: oracles/tests import it from here)
     Conjunct,
     Interval,
-    NEGATED_OP,
     SolverStats,
     UNKNOWN,
-    build_var_index,
-    compile_conjuncts,
-    compute_components,
 )
 
 
 #: An assumption literal: ``(variable, op, value)`` with op in {==,!=,<=,>=,<,>}.
 Literal = Tuple[str, str, int]
 
-Assumption = Union[Literal, T.Formula]
-
 _LITERAL_OPS = frozenset(("==", "!=", "<=", ">=", "<", ">"))
 
 
-def as_literal(assumption: Assumption) -> Literal:
-    """Coerce a ``Cmp``/``NotF(Cmp)`` over (Var, Const) into a literal triple."""
-    if isinstance(assumption, tuple):
-        name, op, value = assumption
-        if op not in _LITERAL_OPS:
-            raise ValueError(f"unknown assumption operator {op!r}")
-        return name, op, value
-    if isinstance(assumption, T.NotF) and isinstance(assumption.arg, T.Cmp):
-        name, op, value = as_literal(assumption.arg)
-        return name, NEGATED_OP[op], value
-    if isinstance(assumption, T.Cmp):
-        lhs, rhs = assumption.lhs, assumption.rhs
-        if isinstance(lhs, T.Var) and isinstance(rhs, T.Const):
-            return lhs.name, assumption.op, rhs.value
-        if isinstance(lhs, T.Const) and isinstance(rhs, T.Var):
-            flipped = {"<=": ">=", ">=": "<=", "<": ">", ">": "<", "==": "==", "!=": "!="}
-            return rhs.name, flipped[assumption.op], lhs.value
-    raise ValueError(f"cannot use {assumption!r} as an assumption literal")
+def as_literal(assumption: Literal) -> Literal:
+    """Check that ``assumption`` is a ``(variable, op, value)`` literal."""
+    if not isinstance(assumption, tuple):
+        raise ValueError(f"cannot use {assumption!r} as an assumption literal")
+    name, op, value = assumption
+    if op not in _LITERAL_OPS:
+        raise ValueError(f"unknown assumption operator {op!r}")
+    return name, op, value
 
 
 class SolverInstance:
@@ -76,85 +61,25 @@ class SolverInstance:
     Created through :meth:`Solver.compile`.  The store (conjunct index,
     components, base domains) is built once; each :meth:`solve` call only
     copies the domain table, applies the assumption literals, and searches
-    with propagation.  :meth:`push`/:meth:`pop` add/remove whole clause
-    frames for constraints that do not fit a literal.
+    with propagation.
     """
 
     def __init__(self, solver: "Solver", store: CompiledStore):
         self._solver = solver
         self.stats = solver.stats
         self._store = store
-        self._frames: List[List[Conjunct]] = []
-        self._combined: Optional[tuple] = None
-        #: Assumption-free propagation fixpoint of the current view, computed
-        #: once and reused by every solve: (domains-at-fixpoint, satisfiable).
+        #: Assumption-free propagation fixpoint of the store, computed once
+        #: and reused by every solve: (domains-at-fixpoint, satisfiable).
         self._fixpoint: Optional[tuple] = None
         # Per-solve state (reset by solve()).
         self._steps = 0
         self._deadline: Optional[float] = None
 
-    # -- incremental clause frames ------------------------------------------
-
-    def push(self, formula: T.Formula) -> None:
-        """Add a clause frame; it participates in every solve until popped."""
-        self._frames.append(compile_conjuncts(formula))
-        self._combined = None
-        self._fixpoint = None
-
-    def pop(self) -> None:
-        """Remove the most recent clause frame."""
-        self._frames.pop()
-        self._combined = None
-        self._fixpoint = None
-
-    # -- compiled view -------------------------------------------------------
-
-    def _view(self) -> tuple:
-        """(conjuncts, var_index, components, base_domains, variables, unsat)."""
-        if self._combined is not None:
-            return self._combined
-        store = self._store
-        if not self._frames:
-            view = (
-                store.conjuncts,
-                store.var_to_conjuncts,
-                store.components,
-                store.base_domains,
-                store.variables,
-                store.unsat,
-            )
-        else:
-            conjuncts = list(store.conjuncts)
-            unsat = store.unsat
-            for frame in self._frames:
-                if frame is None:
-                    unsat = True
-                else:
-                    conjuncts.extend(frame)
-            var_index = build_var_index(conjuncts)
-            components = compute_components(conjuncts, set(store.shared))
-            base_domains = dict(store.base_domains)
-            for name in var_index:
-                if name not in base_domains:
-                    base_domains[name] = Interval(
-                        *store.given_domains.get(name, store.default_domain)
-                    )
-            view = (
-                conjuncts,
-                var_index,
-                components,
-                base_domains,
-                tuple(sorted(var_index)),
-                unsat,
-            )
-        self._combined = view
-        return view
-
     # -- solving -------------------------------------------------------------
 
     def solve(
         self,
-        assumptions: Sequence[Assumption] = (),
+        assumptions: Sequence[Literal] = (),
         prefer: Optional[Iterable[str]] = None,
         deadline: Optional[float] = None,
     ) -> Optional[Dict[str, int]]:
@@ -165,19 +90,20 @@ class SolverInstance:
         value compatible with the literals (their bounds come from the
         ``domains`` mapping given at compile time, when present).
         """
-        conjuncts, var_index, components, base_domains, variables, unsat = self._view()
-        if unsat:
+        store = self._store
+        if store.unsat:
             return None
+        conjuncts, var_index = store.conjuncts, store.var_to_conjuncts
         self._steps = 0
         self._deadline = deadline
         if deadline is not None and time.monotonic() > deadline:
             raise RuntimeError("solver deadline exceeded")
 
-        # Assumption-free fixpoint, computed once per compiled view: every
+        # Assumption-free fixpoint, computed once per compiled store: every
         # incremental solve starts from already-narrowed domains and only
         # re-propagates what its assumption literals actually touch.
         if self._fixpoint is None:
-            fix_domains: Dict[str, Interval] = dict(base_domains)
+            fix_domains: Dict[str, Interval] = dict(store.base_domains)
             ok = propagate(
                 range(len(conjuncts)), conjuncts, var_index, fix_domains, Trail(), self.stats
             )
@@ -191,7 +117,6 @@ class SolverInstance:
         extras: List[str] = []
         trail = Trail()
         changed: Set[str] = set()
-        store = self._store
         try:
             for assumption in assumptions:
                 name, op, value = as_literal(assumption)
@@ -233,14 +158,14 @@ class SolverInstance:
             self.stats.conflicts += 1
             return None
 
-        order = list(dict.fromkeys([*(prefer or []), *self._store.shared]))
+        order = list(dict.fromkeys([*(prefer or []), *store.shared]))
         order = [name for name in order if name in domains]
         model = self._branch_shared(
-            0, order, conjuncts, var_index, components, domains, excluded, trail
+            0, order, conjuncts, var_index, store.components, domains, excluded, trail
         )
         if model is None:
             return None
-        for name in variables:
+        for name in store.variables:
             if name not in model:
                 value = self._pick_value(name, domains, excluded)
                 if value is None:
@@ -462,18 +387,3 @@ class Solver:
         prefer = tuple(prefer or ())
         instance = self.compile(formula, domains, shared=prefer)
         return instance.solve((), prefer=prefer, deadline=deadline)
-
-    def satisfiable(
-        self,
-        formula: T.Formula,
-        domains: Dict[str, Tuple[int, int]],
-        prefer: Optional[Iterable[str]] = None,
-        deadline: Optional[float] = None,
-    ) -> bool:
-        """Convenience wrapper: is the formula satisfiable at all?
-
-        ``prefer`` and ``deadline`` are forwarded to :meth:`solve`, so
-        feasibility probes respect scheduler slices exactly like model
-        enumeration does.
-        """
-        return self.solve(formula, domains, prefer=prefer, deadline=deadline) is not None

@@ -44,12 +44,6 @@ class SynthesisConfig:
     max_enum_int: int = 8
     #: Cap on models enumerated per symbolic regex by InferConstants.
     max_models_per_symbolic: int = 24
-    #: Use the subsumption heuristics that skip redundant membership queries
-    #: (Section 6, "Eliminating membership queries").
-    use_subsumption: bool = True
-    #: Extra literal characters (beyond predefined classes) allowed as leaves;
-    #: by default literals are harvested from the positive examples.
-    extra_literals: str = ""
 
     def for_variant(self, variant: EngineVariant) -> "SynthesisConfig":
         """Return a copy of this configuration specialised to an ablation variant."""

@@ -103,7 +103,7 @@ class SynthesisRun:
         self.sketch = sketch
         self.examples = examples
         self.result = SynthesisResult()
-        self._literal_chars = examples.literal_characters() + self.config.extra_literals
+        self._literal_chars = examples.literal_characters()
         self._symints = SymIntFactory()
         self._counter = count()
         self._worklist: list[tuple[int, int, PartialRegex]] = []
@@ -224,22 +224,20 @@ class SynthesisRun:
         threshold for the ``RepeatAtLeast`` family), so each check is O(1)
         instead of printing O(k) candidate strings.
         """
-        config = self.config
-        if config.use_subsumption:
-            if regex in self._rejected:
+        if regex in self._rejected:
+            return False
+        if (
+            isinstance(regex, (rast.StartsWith, rast.EndsWith))
+            and regex.arg in self._rejected_contains
+        ):
+            return False
+        if isinstance(regex, rast.RepeatAtLeast):
+            threshold = self._rejected_atleast.get(regex.arg)
+            if threshold is not None and regex.count >= threshold:
                 return False
-            if (
-                isinstance(regex, (rast.StartsWith, rast.EndsWith))
-                and regex.arg in self._rejected_contains
-            ):
-                return False
-            if isinstance(regex, rast.RepeatAtLeast):
-                threshold = self._rejected_atleast.get(regex.arg)
-                if threshold is not None and regex.count >= threshold:
-                    return False
         if examples.consistent(regex):
             return True
-        if config.use_subsumption and not examples.accepts_all_positive(regex):
+        if not examples.accepts_all_positive(regex):
             self._rejected.add(regex)
             if isinstance(regex, rast.Contains):
                 self._rejected_contains.add(regex.arg)

@@ -219,7 +219,7 @@ def _free_expansions(
 ) -> List[PartialRegex]:
     """Expansions of a free (sibling) position: ``□^d(C ∪ components)``."""
     results: List[PartialRegex] = []
-    for leaf in default_char_classes(literal_chars + config.extra_literals):
+    for leaf in default_char_classes(literal_chars):
         results.append(PLeaf(leaf))
     for component in label.components:
         results.append(POpen(component))

@@ -19,9 +19,8 @@ from repro import faults
 from repro.api import Problem, RunReport
 from repro.faults import InjectedFault
 from repro.service import (
-    CACHE_BACKENDS,
     JobLostError,
-    JsonDirCache,
+    ResultCache,
     ServiceClient,
     ServiceConfig,
     ServiceError,
@@ -45,7 +44,10 @@ def disarm():
 
 
 def _open_cache(kind, tmp_path, **kwargs):
-    return CACHE_BACKENDS[kind](tmp_path / "cache", **kwargs)
+    # ``kind`` is the ``backend`` label ``/v1/stats`` reports.
+    cache = ResultCache(tmp_path / "cache", **kwargs)
+    assert cache.stats()["backend"] == kind
+    return cache
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +56,7 @@ def _open_cache(kind, tmp_path, **kwargs):
 
 
 class TestCacheQuarantine:
-    @pytest.mark.parametrize("kind", sorted(CACHE_BACKENDS))
+    @pytest.mark.parametrize("kind", ["json"])
     def test_corrupt_entry_is_a_miss_not_an_error(self, kind, tmp_path):
         cache = _open_cache(kind, tmp_path)
         key = "a" * 64
@@ -67,21 +69,19 @@ class TestCacheQuarantine:
         # The entry is gone for good: the next get is a plain miss.
         assert cache.get(key) is None
         assert cache.stats()["quarantined"] == 1
-        cache.close()
 
     def test_quarantined_file_kept_for_inspection(self, tmp_path):
-        cache = JsonDirCache(tmp_path / "cache")
+        cache = ResultCache(tmp_path / "cache")
         key = "b" * 64
         cache.put(key, {"v": 1})
         (tmp_path / "cache" / f"{key}.json").write_text("not json")
         assert cache.get(key) is None
         assert (tmp_path / "cache" / f"{key}.quarantined").is_file()
         assert len(cache) == 0  # excluded from the store and its LRU scan
-        cache.close()
 
 
 class TestCacheBreaker:
-    @pytest.mark.parametrize("kind", sorted(CACHE_BACKENDS))
+    @pytest.mark.parametrize("kind", ["json"])
     def test_breaker_trips_and_recovers(self, kind, tmp_path):
         cache = _open_cache(
             kind, tmp_path, breaker_threshold=3, breaker_cooldown=0.05
@@ -106,13 +106,12 @@ class TestCacheBreaker:
         assert cache.get(key) == {"v": 1}
         assert cache.healthy()
         assert cache.stats()["breaker"]["state"] == "closed"
-        cache.close()
 
     def test_write_successes_do_not_mask_a_failing_read_path(self, tmp_path):
         # Error streaks are per path: in live traffic every failed read is
         # followed by a successful write-through of the re-solved report,
         # and that steady interleaving must still trip the breaker.
-        cache = JsonDirCache(
+        cache = ResultCache(
             tmp_path / "cache", breaker_threshold=3, breaker_cooldown=60.0
         )
         faults.configure("cache.read:p=1")
@@ -124,10 +123,9 @@ class TestCacheBreaker:
         stats = cache.stats()
         assert stats["breaker"]["state"] == "open"
         assert stats["read_errors"] == 3 and stats["write_errors"] == 0
-        cache.close()
 
     def test_failed_probe_rearms_the_cooldown(self, tmp_path):
-        cache = JsonDirCache(
+        cache = ResultCache(
             tmp_path / "cache", breaker_threshold=2, breaker_cooldown=0.05
         )
         faults.configure("cache.read:p=1")
@@ -138,11 +136,10 @@ class TestCacheBreaker:
         assert cache.get(key) is None  # probe fires, fails, re-opens
         assert not cache.healthy()
         assert cache.stats()["read_errors"] == 3
-        cache.close()
 
 
 class TestCacheCrashConsistency:
-    @pytest.mark.parametrize("kind", sorted(CACHE_BACKENDS))
+    @pytest.mark.parametrize("kind", ["json"])
     def test_write_killed_midway_leaves_no_torn_entry(self, kind, tmp_path):
         cache = _open_cache(kind, tmp_path)
         key = "e" * 64
@@ -150,14 +147,12 @@ class TestCacheCrashConsistency:
         cache.put(key, {"v": 1})  # dies at the commit point, absorbed
         assert cache.stats()["write_errors"] == 1
         faults.configure(None)
-        cache.close()
         reopened = _open_cache(kind, tmp_path)
         assert reopened.get(key) is None  # a clean miss, never a torn read
         reopened.put(key, {"v": 2})
         assert reopened.get(key) == {"v": 2}
-        reopened.close()
 
-    @pytest.mark.parametrize("kind", sorted(CACHE_BACKENDS))
+    @pytest.mark.parametrize("kind", ["json"])
     def test_overwrite_killed_midway_preserves_old_value(self, kind, tmp_path):
         cache = _open_cache(kind, tmp_path)
         key = "f" * 64
@@ -165,10 +160,8 @@ class TestCacheCrashConsistency:
         faults.configure("cache.write:nth=1")
         cache.put(key, {"v": "new"})  # killed before the rename/commit
         faults.configure(None)
-        cache.close()
         reopened = _open_cache(kind, tmp_path)
         assert reopened.get(key) == {"v": "old"}
-        reopened.close()
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +259,6 @@ class TestPoolWatchdog:
             workers=1,
             queue_size=2,
             watchdog_grace=0.2,
-            watchdog_interval=0.05,
         )
         try:
             job = Job(Problem("wedge", positive=["1"], budget=0.2))
@@ -292,7 +284,6 @@ class TestPoolWatchdog:
             workers=1,
             queue_size=2,
             watchdog_grace=0.2,
-            watchdog_interval=0.05,
         )
         try:
             job = Job(FAST_PROBLEM)
@@ -311,11 +302,11 @@ class TestPoolWatchdog:
 
 class TestDegradedHealth:
     def test_open_breaker_degrades_healthz(self, tmp_path):
-        cache = JsonDirCache(
+        cache = ResultCache(
             tmp_path / "cache", breaker_threshold=2, breaker_cooldown=0.05
         )
         config = ServiceConfig(
-            port=0, workers=1, cache_backend="json", cache_path=str(tmp_path / "cache")
+            port=0, workers=1, cache_path=str(tmp_path / "cache")
         )
         state = ServiceState(config, cache=cache)
         try:
@@ -352,7 +343,6 @@ def retry_server(tmp_path):
     config = ServiceConfig(
         port=0,
         workers=1,
-        cache_backend="null",
         cache_path=str(tmp_path / "cache"),
         batch_dir=str(tmp_path / "batches"),
         sketches=8,
@@ -480,7 +470,6 @@ class TestLiveChaosSmoke:
         config = ServiceConfig(
             port=0,
             workers=2,
-            cache_backend="json",
             cache_path=str(tmp_path / "cache"),
             batch_dir=str(tmp_path / "batches"),
             sketches=8,

@@ -194,7 +194,7 @@ class TestRuntime:
              "negative": ["12"], "budget": 10.0}
         ).encode()
         state = ServiceState(
-            ServiceConfig(workers=1, cache_backend="json", cache_path=str(tmp_path))
+            ServiceConfig(workers=1, cache_path=str(tmp_path))
         )
 
         def cached_hit():

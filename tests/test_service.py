@@ -5,21 +5,19 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
 from repro.api import Problem, RunReport
 from repro.service import (
-    CACHE_BACKENDS,
-    JsonDirCache,
-    NullCache,
     PoolSaturated,
+    ResultCache,
     ServiceClient,
     ServiceConfig,
     ServiceError,
     ServiceState,
     WorkerPool,
-    make_cache,
     start_server,
 )
 from repro.service.pool import Job
@@ -58,13 +56,16 @@ class TestProblemHashing:
 
 
 # ---------------------------------------------------------------------------
-# Cache backends
+# Result cache
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture(params=sorted(CACHE_BACKENDS))
+@pytest.fixture(params=["json"])
 def cache(request, tmp_path):
-    return CACHE_BACKENDS[request.param](tmp_path / "cache", max_entries=3)
+    # The parameter is the ``backend`` label ``/v1/stats`` reports.
+    cache = ResultCache(tmp_path / "cache", max_entries=3)
+    assert cache.stats()["backend"] == request.param
+    return cache
 
 
 class TestResultCache:
@@ -84,7 +85,7 @@ class TestResultCache:
     def test_lru_eviction_bound(self, cache):
         for index in range(5):
             cache.put(f"{index}" * 64, {"v": index})
-            time.sleep(0.01)  # distinct mtimes for the json backend
+            time.sleep(0.01)  # distinct mtimes
         assert len(cache) == 3
         assert cache.stats()["evictions"] == 2
         # The oldest entries were evicted, the newest survive.
@@ -103,25 +104,60 @@ class TestResultCache:
 
     def test_persistence_across_instances(self, cache, tmp_path):
         cache.put("c" * 64, {"v": 3})
-        reopened = type(cache)(tmp_path / "cache", max_entries=3)
+        reopened = ResultCache(tmp_path / "cache", max_entries=3)
         assert reopened.get("c" * 64) == {"v": 3}
 
     def test_malformed_key_rejected(self, tmp_path):
-        backend = JsonDirCache(tmp_path / "cache")
+        cache = ResultCache(tmp_path / "cache")
         with pytest.raises(ValueError):
-            backend.put("../escape", {})
+            cache.put("../escape", {})
 
-    def test_null_cache_never_stores(self):
-        cache = NullCache()
-        cache.put("d" * 64, {"v": 1})
-        assert cache.get("d" * 64) is None
-        assert cache.stats()["entries"] == 0
 
-    def test_make_cache_registry(self, tmp_path):
-        assert isinstance(make_cache("null", tmp_path), NullCache)
-        assert isinstance(make_cache("json", tmp_path / "cache"), JsonDirCache)
-        with pytest.raises(ValueError):
-            make_cache("sqlite", tmp_path)
+class TestCacheEntryCount:
+    """The entry count lives in memory: a store below the bound never lists
+    the cache directory, and the count always matches the files on disk."""
+
+    @staticmethod
+    def _count_scans(monkeypatch):
+        scans = []
+        glob = Path.glob
+
+        def counting_glob(self, pattern):
+            scans.append(pattern)
+            return glob(self, pattern)
+
+        monkeypatch.setattr(Path, "glob", counting_glob)
+        return scans
+
+    def test_puts_below_the_bound_do_not_scan(self, tmp_path, monkeypatch):
+        cache = ResultCache(tmp_path / "cache", max_entries=100)
+        scans = self._count_scans(monkeypatch)
+        for index in range(50):
+            cache.put(f"{index:064x}", {"v": index})
+        assert len(cache) == cache.stats()["entries"] == 50
+        assert scans == []
+
+    def test_overwrite_keeps_the_count(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache", max_entries=10)
+        cache.put("a" * 64, {"v": 1})
+        cache.put("a" * 64, {"v": 2})
+        assert cache.stats()["entries"] == 1
+        assert cache.stats()["stores"] == 2
+
+    def test_count_matches_disk_after_eviction_and_quarantine(self, tmp_path):
+        path = tmp_path / "cache"
+        cache = ResultCache(path, max_entries=5)
+        for index in range(8):
+            cache.put(f"{index:064x}", {"v": index})
+        assert cache.stats()["evictions"] > 0
+        survivor = sorted(path.glob("*.json"))[0]
+        survivor.write_text("{torn")
+        assert cache.get(survivor.stem) is None
+        stats = cache.stats()
+        assert stats["quarantined"] == 1
+        on_disk = len(list(path.glob("*.json")))
+        assert stats["entries"] == on_disk
+        assert ResultCache(path, max_entries=5).stats()["entries"] == on_disk
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +340,7 @@ def server():
 
     with tempfile.TemporaryDirectory() as tmp:
         config = ServiceConfig(
-            port=0, workers=2, cache_backend="json", cache_path=tmp, sketches=8
+            port=0, workers=2, cache_path=tmp, sketches=8
         )
         live = start_server(config)
         yield live
@@ -433,7 +469,7 @@ class TestCacheSpeedup:
 
     def test_cached_hit_is_ten_times_faster_than_the_cold_solve(self, tmp_path):
         live = start_server(
-            ServiceConfig(port=0, workers=1, cache_backend="json", cache_path=str(tmp_path))
+            ServiceConfig(port=0, workers=1, cache_path=str(tmp_path))
         )
         try:
             host, port = live.server_address[:2]
@@ -521,7 +557,7 @@ class TestBackPressureHttp:
     def test_saturated_service_answers_429(self, tmp_path):
         release = threading.Event()
         config = ServiceConfig(
-            port=0, workers=1, queue_size=1, cache_backend="null", cache_path=str(tmp_path)
+            port=0, workers=1, queue_size=1, cache_path=str(tmp_path)
         )
         state = ServiceState(config)
         # Swap the pool for one whose sessions block until released, so the
@@ -555,7 +591,7 @@ class TestBackPressureHttp:
         # run: later identical submissions attach to the in-flight job.
         release = threading.Event()
         config = ServiceConfig(
-            port=0, workers=1, queue_size=2, cache_backend="null", cache_path=str(tmp_path)
+            port=0, workers=1, queue_size=2, cache_path=str(tmp_path)
         )
         state = ServiceState(config)
         state.pool.close()
@@ -579,7 +615,7 @@ class TestBackPressureHttp:
     def test_job_cancellation(self, tmp_path):
         release = threading.Event()
         config = ServiceConfig(
-            port=0, workers=1, queue_size=4, cache_backend="null", cache_path=str(tmp_path)
+            port=0, workers=1, queue_size=4, cache_path=str(tmp_path)
         )
         state = ServiceState(config)
         state.pool.close()
@@ -718,7 +754,6 @@ def batch_server(tmp_path):
     config = ServiceConfig(
         port=0,
         workers=2,
-        cache_backend="json",
         cache_path=str(tmp_path / "cache"),
         batch_dir=str(tmp_path / "batches"),
         sketches=8,
@@ -862,7 +897,6 @@ class TestBatchRestartResume:
         config = ServiceConfig(
             port=0,
             workers=2,
-            cache_backend="json",
             cache_path=str(tmp_path / "cache"),
             batch_dir=str(batch_dir),
         )
@@ -902,7 +936,6 @@ class TestShutdownOrdering:
             port=0,
             workers=1,
             queue_size=1,
-            cache_backend="null",
             cache_path=str(tmp_path / "cache"),
             batch_dir=str(tmp_path / "batches"),
         )
@@ -956,7 +989,7 @@ class TestShutdownOrdering:
 
     def test_close_is_idempotent(self, tmp_path):
         config = ServiceConfig(
-            port=0, workers=1, cache_backend="null", cache_path=str(tmp_path)
+            port=0, workers=1, cache_path=str(tmp_path)
         )
         state = ServiceState(config)
         state.close()

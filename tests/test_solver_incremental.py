@@ -9,8 +9,8 @@ formulas, mirroring the ``RecursiveMatcher`` pattern of the evaluation layer:
 * the **legacy backtracker** (:class:`repro.solver.legacy.LegacySolver`),
   the implementation the store replaced.
 
-Plus behaviour tests for the incremental path: assumption literals,
-push/pop frames, deadline and step budgets.
+Plus behaviour tests for the incremental path: assumption literals (and the
+narrow contract of what counts as one), deadline and step budgets.
 """
 
 import itertools
@@ -200,27 +200,6 @@ class TestIncrementalEnumeration:
 
         assert new_seen == legacy_seen == [1, 2, 3, 4, 5, 6]
 
-    def test_push_pop_frames(self):
-        domains = {"k1": (1, 30), "k2": (1, 30)}
-        instance = Solver().compile(self._formula(), domains, shared=("k1",))
-        assert instance.solve()["k1"] == 1
-        instance.push(Cmp(">=", Var("k1"), Const(4)))
-        assert instance.solve()["k1"] == 4
-        instance.push(Cmp("==", Var("k2"), Const(3)))
-        model = instance.solve()
-        assert model["k1"] == 4 and model["k2"] == 3
-        instance.pop()
-        instance.pop()
-        assert instance.solve()["k1"] == 1
-
-    def test_push_unsat_frame_then_pop(self):
-        domains = {"k1": (1, 30), "k2": (1, 30)}
-        instance = Solver().compile(self._formula(), domains)
-        instance.push(T.FALSE)
-        assert instance.solve() is None
-        instance.pop()
-        assert instance.solve() is not None
-
     def test_assumption_on_variable_outside_the_formula(self):
         """Blocking literals may name κ the encoding never mentions."""
         instance = Solver().compile(TRUE, {"k": (1, 5)})
@@ -229,6 +208,14 @@ class TestIncrementalEnumeration:
         assert instance.solve(
             [("k", "!=", v) for v in range(1, 6)]
         ) is None
+
+    def test_only_literal_triples_are_assumptions(self):
+        """Assumptions are ``(variable, op, value)`` triples, nothing else."""
+        instance = Solver().compile(self._formula(), {"k1": (1, 30), "k2": (1, 30)})
+        with pytest.raises(ValueError, match="assumption literal"):
+            instance.solve([Cmp(">=", Var("k1"), Const(4))])
+        with pytest.raises(ValueError, match="unknown assumption operator"):
+            instance.solve([("k1", "=>", 4)])
 
 
 class TestPropagationSoundness:
@@ -286,17 +273,6 @@ class TestBudgets:
         with pytest.raises(RuntimeError, match="step budget"):
             Solver(max_steps=3).solve(formula, domains)
 
-    def test_satisfiable_respects_deadline(self):
-        domains = {name: (0, 50) for name in ("a", "b", "c")}
-        formula = Cmp("==", Add((Var("a"), Var("b"), Var("c"))), Const(75))
-        with pytest.raises(RuntimeError, match="deadline"):
-            Solver().satisfiable(formula, domains, deadline=time.monotonic() - 1.0)
-
-    def test_satisfiable_threads_prefer(self):
-        formula = Cmp("<=", Add((Var("k"), Var("x"))), Const(10))
-        assert Solver().satisfiable(
-            formula, {"k": (1, 30), "x": (0, 30)}, prefer=["k"]
-        )
 
 
 class TestStatsCounters:

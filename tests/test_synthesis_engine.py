@@ -61,14 +61,14 @@ class TestEncoding:
         assert kappas == {"k1", "k2"}
         solver = Solver()
         # k1 = k2 = 1 is allowed; k1 = 7, k2 = 1 is allowed; k1 + k2 > 7 is not.
-        assert solver.satisfiable(
+        assert solver.solve(
             substitute(formula, {"k1": 1, "k2": 1}),
             {name: domains[name] for name in var_names(formula)},
-        )
-        assert not solver.satisfiable(
+        ) is not None
+        assert solver.solve(
             substitute(formula, {"k1": 7, "k2": 2}),
             {name: domains[name] for name in var_names(formula)},
-        )
+        ) is None
 
     def test_constraint_respects_all_positive_examples(self):
         partial = POp("RepeatAtLeast", (PLeaf(NUM),), (SymInt("k1"),))
@@ -78,8 +78,8 @@ class TestEncoding:
         solver = Solver()
         # RepeatAtLeast(<num>, k) requires k <= len(s) for every positive
         # example, so the shortest example (length 3) bounds k.
-        assert solver.satisfiable(substitute(formula, {"k1": 3}), domains)
-        assert not solver.satisfiable(substitute(formula, {"k1": 4}), domains)
+        assert solver.solve(substitute(formula, {"k1": 3}), domains) is not None
+        assert solver.solve(substitute(formula, {"k1": 4}), domains) is None
 
     def test_exact_repeat_conflicting_lengths_unsat(self):
         partial = POp("Repeat", (PLeaf(NUM),), (SymInt("k1"),))
