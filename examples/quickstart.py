@@ -1,11 +1,11 @@
 """Quickstart: synthesize a regex from an English description plus examples.
 
 Uses the pipeline API: a frozen :class:`~repro.api.Problem` spec, a
-:class:`~repro.api.Session` with an interleaved portfolio scheduler (the
-paper's run-one-engine-per-sketch-in-parallel semantics, in-process), and the
-streaming ``iter_solutions`` generator that yields each regex the moment an
-engine instance finds it — long before the full budget elapses.  The exit
-status is 1 if no regex is found.
+:class:`~repro.api.Session`, whose portfolio scheduler runs one engine per
+sketch in rank-first turns (the paper's run-one-engine-per-sketch-in-parallel
+semantics, in-process), and the streaming ``iter_solutions`` generator that
+yields each regex the moment an engine instance finds it — long before the
+full budget elapses.  The exit status is 1 if no regex is found.
 
 Run with:  python examples/quickstart.py
 """
@@ -13,7 +13,7 @@ Run with:  python examples/quickstart.py
 import sys
 import time
 
-from repro.api import InterleavedScheduler, Problem, Session
+from repro.api import Problem, Session
 from repro.dsl import matches
 
 
@@ -27,7 +27,7 @@ def main() -> int:
         budget=15.0,
     )
 
-    session = Session(scheduler=InterleavedScheduler())
+    session = Session()
 
     print(f"Streaming solutions (budget {problem.budget:.0f}s):")
     start = time.monotonic()

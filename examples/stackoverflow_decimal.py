@@ -8,7 +8,7 @@ The English description is ambiguous (it even says "comma" instead of
 1. with the h-sketches the semantic parser derives from the description.
    The untrained parser shipped here does not propose a sketch the engine
    can complete in time: this round found no regex within its 30 s budget
-   on a 2-core machine, with either scheduler;
+   on a 2-core machine;
 2. with the paper's Section-2 h-sketch
    ``Concat(Hole(RepeatRange(<num>,1,15)),Hole(Optional(Concat(<.>,RepeatRange(<num>,1,3)))))``
    at hole depth 2, which the engine completes to the intended regex in

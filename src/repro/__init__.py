@@ -7,7 +7,7 @@ positive/negative examples.
 Public entry points:
 
 * :mod:`repro.api` — the pipeline API (``Problem`` → ``SketchProvider`` →
-  ``Scheduler`` → ``Session`` → ``RunReport``), the tool's interface,
+  ``Session`` → ``RunReport``), the tool's interface,
 * :func:`repro.synthesis.synthesize` — the sketch-guided PBE engine,
 * :class:`repro.nlp.SemanticParser` — English → ranked h-sketches,
 * :mod:`repro.datasets` — the two evaluation corpora,
@@ -18,11 +18,9 @@ __version__ = "1.2.0"
 
 from repro.api import (
     CancelToken,
-    InterleavedScheduler,
     NlSketchProvider,
     PbeOnlyProvider,
     Problem,
-    ProcessPoolScheduler,
     RunReport,
     Session,
     SketchReport,
@@ -42,8 +40,6 @@ __all__ = [
     "NlSketchProvider",
     "StaticSketchProvider",
     "PbeOnlyProvider",
-    "InterleavedScheduler",
-    "ProcessPoolScheduler",
     "SynthesisConfig",
     "EngineVariant",
     "synthesize",

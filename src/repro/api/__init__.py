@@ -6,10 +6,10 @@ deployment:
 
 .. code-block:: text
 
-    Problem ──▶ SketchProvider ──▶ Scheduler ──▶ Session ──▶ RunReport
-    (frozen     (NL parser /       (interleaved / (solve /    (solutions +
-     spec)       static list /      process pool)  streaming)  per-sketch
-                 single hole)                                  telemetry)
+    Problem ──▶ SketchProvider ──▶ interleave ──▶ Session ──▶ RunReport
+    (frozen     (NL parser /       (rank-first    (solve /    (solutions +
+     spec)       static list /      turns, one    streaming)  per-sketch
+                 single hole)       process)                  telemetry)
 
 Quick example::
 
@@ -32,16 +32,7 @@ from repro.api.providers import (
     StaticSketchProvider,
 )
 from repro.api.results import RunReport, SketchReport, Solution
-from repro.api.schedulers import (
-    SCHEDULERS,
-    CancelToken,
-    Finished,
-    Found,
-    InterleavedScheduler,
-    ProcessPoolScheduler,
-    Scheduler,
-    make_scheduler,
-)
+from repro.api.schedulers import CancelToken, Finished, Found
 from repro.api.session import Session
 
 __all__ = [
@@ -53,11 +44,6 @@ __all__ = [
     "NlSketchProvider",
     "StaticSketchProvider",
     "PbeOnlyProvider",
-    "Scheduler",
-    "InterleavedScheduler",
-    "ProcessPoolScheduler",
-    "SCHEDULERS",
-    "make_scheduler",
     "CancelToken",
     "Found",
     "Finished",

@@ -1,7 +1,7 @@
 """Pluggable sketch providers.
 
 A :class:`SketchProvider` turns a :class:`~repro.api.problem.Problem` into the
-ranked list of hierarchical sketches the schedulers run PBE engines over.
+ranked list of hierarchical sketches the scheduler runs PBE engines over.
 The three implementations cover the tool's three modes:
 
 * :class:`NlSketchProvider` — the full Regel front end: the semantic parser

@@ -140,8 +140,6 @@ class RunReport:
 
     #: The problem this report answers.
     problem: Problem
-    #: Name of the scheduler that produced the report.
-    scheduler: str = "interleaved"
     #: Distinct consistent regexes, smallest first (at most ``problem.k``).
     solutions: List[Solution] = field(default_factory=list)
     #: Telemetry for every sketch that was attempted.
@@ -184,22 +182,9 @@ class RunReport:
     def total_solver_propagations(self) -> int:
         return sum(report.solver_propagations for report in self.sketches)
 
-    @property
-    def total_solver_conflicts(self) -> int:
-        return sum(report.solver_conflicts for report in self.sketches)
-
-    @property
-    def eval_cache_hit_rate(self) -> float:
-        """Fraction of evaluation-cache lookups that hit, across all sketches."""
-        hits = self.total_eval_cache_hits
-        misses = sum(report.eval_cache_misses for report in self.sketches)
-        total = hits + misses
-        return hits / total if total else 0.0
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "problem": self.problem.to_dict(),
-            "scheduler": self.scheduler,
             "solutions": [solution.to_dict() for solution in self.solutions],
             "sketches": [report.to_dict() for report in self.sketches],
             "elapsed": self.elapsed,
@@ -213,7 +198,6 @@ class RunReport:
     def from_dict(cls, data: Mapping[str, Any]) -> "RunReport":
         return cls(
             problem=Problem.from_dict(data["problem"]),
-            scheduler=data.get("scheduler", "interleaved"),
             solutions=[Solution.from_dict(entry) for entry in data.get("solutions", [])],
             sketches=[SketchReport.from_dict(entry) for entry in data.get("sketches", [])],
             elapsed=data.get("elapsed", 0.0),

@@ -1,17 +1,18 @@
-"""The :class:`Session` facade: provider + scheduler + engine configuration.
+"""The :class:`Session` facade: provider + engine configuration.
 
 A session is the long-lived object an application holds on to (it owns the
-trained semantic parser and the scheduling policy); individual requests are
-immutable :class:`~repro.api.problem.Problem` values.  Two consumption
-styles are offered:
+trained semantic parser); individual requests are immutable
+:class:`~repro.api.problem.Problem` values.  Two consumption styles are
+offered:
 
 * :meth:`Session.solve` — run to completion, return a full
   :class:`~repro.api.results.RunReport`,
 * :meth:`Session.iter_solutions` — a generator that yields each
   :class:`~repro.api.results.Solution` the moment it is discovered
   (anytime/streaming behaviour); closing the generator cancels the
-  underlying scheduler cooperatively, and the aggregated report for the
-  partial run is available as :attr:`Session.last_report`.
+  portfolio scheduler (:func:`~repro.api.schedulers.interleave`)
+  cooperatively, and the aggregated report for the partial run is available
+  as :attr:`Session.last_report`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Iterator, Optional
 from repro.api.problem import Problem
 from repro.api.providers import NlSketchProvider, SketchProvider
 from repro.api.results import RunReport, SketchReport, Solution
-from repro.api.schedulers import CancelToken, Found, InterleavedScheduler, Scheduler
+from repro.api.schedulers import CancelToken, Found, interleave
 from repro.dsl.printer import to_dsl_string
 from repro.dsl.simplify import size
 from repro.synthesis.config import SynthesisConfig
@@ -34,18 +35,16 @@ class Session:
     def __init__(
         self,
         provider: Optional[SketchProvider] = None,
-        scheduler: Optional[Scheduler] = None,
         config: Optional[SynthesisConfig] = None,
     ):
         self.provider = provider if provider is not None else NlSketchProvider()
-        self.scheduler = scheduler if scheduler is not None else InterleavedScheduler()
         self.config = config or SynthesisConfig()
         #: Report of the most recent (possibly cancelled) run.
         self.last_report: Optional[RunReport] = None
 
     def solve(self, problem: Problem, cancel: Optional[CancelToken] = None) -> RunReport:
         """Solve ``problem`` to completion and return the aggregated report."""
-        report = RunReport(problem=problem, scheduler=self.scheduler.name)
+        report = RunReport(problem=problem)
         self.last_report = report
         for _ in self._stream(problem, cancel, report):
             pass
@@ -65,7 +64,7 @@ class Session:
         Solutions are yielded in discovery order; in the final report they
         are re-ranked smallest-first (the paper's ordering).
         """
-        report = RunReport(problem=problem, scheduler=self.scheduler.name)
+        report = RunReport(problem=problem)
         self.last_report = report
         yield from self._stream(problem, cancel, report)
 
@@ -83,9 +82,7 @@ class Session:
             sketches = [parse_sketch(text) for text in problem.sketches]
         else:
             sketches = self.provider.sketches(problem)
-        events = self.scheduler.run(
-            sketches, problem.examples(), config, problem.budget, cancel
-        )
+        events = interleave(sketches, problem.examples(), config, problem.budget, cancel)
         seen: set[str] = set()
         try:
             for event in events:

@@ -125,18 +125,6 @@ class DFA:
                     queue.append(prev)
         return live
 
-    def count_strings(self, length: int) -> int:
-        """Number of accepted symbol sequences of exactly the given length."""
-        counts = {self.start: 1}
-        for _ in range(length):
-            nxt: Dict[int, int] = {}
-            for state, count in counts.items():
-                for symbol in range(self.num_symbols):
-                    target = self.transitions[state][symbol]
-                    nxt[target] = nxt.get(target, 0) + count
-            counts = nxt
-        return sum(count for state, count in counts.items() if state in self.accepting)
-
     # -- minimisation -------------------------------------------------------
 
     def minimize(self) -> "DFA":

@@ -49,11 +49,6 @@ _REGISTRY: Dict[str, MutableMapping[Any, Any]] = {}
 _SANITIZE = os.environ.get("REPRO_SANITIZE") == "1"
 
 
-def sanitize_enabled() -> bool:
-    """True when the race sanitizer is on (``REPRO_SANITIZE=1`` or setter)."""
-    return _SANITIZE
-
-
 def set_sanitize(enabled: bool) -> bool:
     """Toggle the race sanitizer in-process; returns the previous value.
 

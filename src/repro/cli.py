@@ -43,10 +43,8 @@ from repro.api import (
     NlSketchProvider,
     PbeOnlyProvider,
     Problem,
-    SCHEDULERS,
     Session,
     StaticSketchProvider,
-    make_scheduler,
 )
 from repro.sketch.parser import SketchParseError
 from repro.synthesis import SynthesisConfig
@@ -78,17 +76,7 @@ def _add_solve_arguments(parser: argparse.ArgumentParser) -> None:
         default=EngineVariant.FULL.value,
         help="engine variant (full Regel or a Figure-18 ablation)",
     )
-    _add_scheduler_arguments(parser)
     parser.add_argument("--json", action="store_true", help="emit the RunReport as JSON")
-
-
-def _add_scheduler_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--scheduler",
-        choices=sorted(SCHEDULERS),
-        default="interleaved",
-        help="how engine instances share the time budget",
-    )
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -105,7 +93,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "batch", help="solve a JSON-lines / JSON-array file of problem specs"
     )
     batch.add_argument("input", help="path to the problems file, or '-' for stdin")
-    _add_scheduler_arguments(batch)
     batch.add_argument(
         "--pbe-only", action="store_true", help="examples-only synthesis for every problem"
     )
@@ -213,12 +200,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--queue-size", type=int, default=16,
         help="bounded job queue; a full queue answers HTTP 429",
     )
-    serve.add_argument(
-        "--scheduler",
-        choices=sorted(SCHEDULERS),
-        default="interleaved",
-        help="scheduler run by each worker session",
-    )
     serve.add_argument("--sketches", type=int, default=25, help="sketches per problem")
     serve.add_argument(
         "--cache-path", default=None,
@@ -287,14 +268,13 @@ def _make_session(
     static_sketches: Sequence[str] = (),
     config: Optional[SynthesisConfig] = None,
 ) -> Session:
-    scheduler = make_scheduler(args.scheduler)
     if getattr(args, "pbe_only", False):
         provider = PbeOnlyProvider()
     elif static_sketches:
         provider = StaticSketchProvider(list(static_sketches))
     else:
         provider = NlSketchProvider(num_sketches=args.sketches)
-    return Session(provider=provider, scheduler=scheduler, config=config)
+    return Session(provider=provider, config=config)
 
 
 def _run_solve(args: argparse.Namespace) -> int:
@@ -611,7 +591,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         port=args.port,
         workers=args.workers,
         queue_size=args.queue_size,
-        scheduler=args.scheduler,
         sketches=args.sketches,
         cache_path=args.cache_path,
         cache_max_entries=args.cache_max_entries,

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Tuple
 
 from repro.api.problem import Problem
@@ -344,8 +344,3 @@ def generate_problems(
         except (SkipPattern, GenerationSkip) as exc:
             result.skipped[exc.reason] += 1
     return result
-
-
-def with_seed(config: GeneratorConfig, seed: int) -> GeneratorConfig:
-    """A copy of ``config`` with a different seed (convenience for tooling)."""
-    return replace(config, seed=seed)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.experiments.runner import BenchmarkRun
 
@@ -42,17 +42,3 @@ def accuracy(runs: Sequence[BenchmarkRun], iteration: int = 0) -> float:
     if not runs:
         return 0.0
     return solved_by_iteration(runs, iteration)[iteration] / len(runs)
-
-
-def summarize(runs_by_tool: Dict[str, Sequence[BenchmarkRun]], max_iterations: int = 4) -> Dict:
-    """Aggregate every tool's runs into the numbers Section 8.1 reports."""
-    summary: Dict[str, Dict] = {}
-    for tool, runs in runs_by_tool.items():
-        summary[tool] = {
-            "solved_by_iteration": solved_by_iteration(runs, max_iterations),
-            "avg_time_per_solved": average_time_per_solved(runs, max_iterations),
-            "initial_accuracy": accuracy(runs, 0),
-            "final_accuracy": accuracy(runs, max_iterations),
-            "total": len(runs),
-        }
-    return summary

@@ -7,13 +7,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
-from repro.api import (
-    NlSketchProvider,
-    PbeOnlyProvider,
-    Problem,
-    Scheduler,
-    Session,
-)
+from repro.api import NlSketchProvider, PbeOnlyProvider, Problem, Session
 from repro.baselines.deepregex import DeepRegexBaseline
 from repro.datasets.benchmark import Benchmark
 from repro.datasets.splits import training_pairs
@@ -55,19 +49,14 @@ def make_regel_solver(
     k: int = 1,
     time_budget: float = 10.0,
     num_sketches: int = 25,
-    scheduler: Optional[Scheduler] = None,
 ) -> Solver:
     """Solver factory for the full Regel tool.
 
-    ``scheduler`` selects the portfolio policy; the default
-    :class:`repro.api.InterleavedScheduler` runs the paper's one engine per
-    sketch in round-robin turns in-process, and
-    :class:`repro.api.ProcessPoolScheduler` runs them on several cores.
+    The session runs the paper's one engine per sketch in rank-first turns
+    in-process (:func:`repro.api.schedulers.interleave`).
     """
     session = Session(
-        provider=NlSketchProvider(parser, num_sketches=num_sketches),
-        scheduler=scheduler,
-        config=config,
+        provider=NlSketchProvider(parser, num_sketches=num_sketches), config=config
     )
 
     def for_benchmark(benchmark: Benchmark):
@@ -92,10 +81,9 @@ def make_pbe_solver(
     config: Optional[SynthesisConfig] = None,
     k: int = 1,
     time_budget: float = 10.0,
-    scheduler: Optional[Scheduler] = None,
 ) -> Solver:
     """Solver factory for the examples-only Regel-PBE baseline."""
-    session = Session(provider=PbeOnlyProvider(), scheduler=scheduler, config=config)
+    session = Session(provider=PbeOnlyProvider(), config=config)
 
     def for_benchmark(benchmark: Benchmark):
         def solve(positive: Sequence[str], negative: Sequence[str]):

@@ -120,12 +120,6 @@ def ormore_fn(count, _marker, program):  # "2 or more digits"
     return rast.RepeatAtLeast(program, count)
 
 
-def ormore_post_fn(program, count, _marker):  # "digits, 2 or more"
-    if not _positive(count):
-        return None
-    return rast.RepeatAtLeast(program, count)
-
-
 def int_range_fn(low, _marker, high, program):  # "2 to 5 digits"
     if not _positive(low, high) or low > high:
         return None
@@ -302,11 +296,3 @@ GRAMMAR_RULES: list[Rule] = [
     Rule("root_sketch", "$ROOT", ("$SKETCH",), lambda s: _as_sketch(s)),
     Rule("root_program", "$ROOT", ("$PROGRAM",), lambda p: ConcreteRegexSketch(p)),
 ]
-
-
-def rules_by_first_category() -> dict[str, list[Rule]]:
-    """Index of compositional rules keyed by their first RHS category."""
-    index: dict[str, list[Rule]] = {}
-    for rule in GRAMMAR_RULES:
-        index.setdefault(rule.rhs[0], []).append(rule)
-    return index

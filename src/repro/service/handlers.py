@@ -35,7 +35,6 @@ from typing import Any, Deque, Dict, Optional, Tuple
 from repro.analysis.diagnostics import lint_problem, problem_unsatisfiable
 from repro.api.problem import Problem
 from repro.api.providers import NlSketchProvider
-from repro.api.schedulers import SCHEDULERS, make_scheduler
 from repro.api.session import Session
 from repro.faults import fault_point, fault_stats
 from repro.service.batch import (
@@ -82,8 +81,6 @@ class ServiceConfig:
     #: Cache directory; None picks a default under the working directory.
     cache_path: Optional[str] = None
     cache_max_entries: int = 1024
-    #: Scheduler each worker session runs (see :data:`repro.api.SCHEDULERS`).
-    scheduler: str = "interleaved"
     #: Sketches requested from the semantic parser per problem.
     sketches: int = 25
     #: Reject problems whose budget exceeds this (seconds).
@@ -113,11 +110,6 @@ class ServiceState:
     """The live service: pool + cache + job registry + counters."""
 
     def __init__(self, config: ServiceConfig, cache: Optional[ResultCache] = None):
-        if config.scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {config.scheduler!r}; "
-                f"choose from {sorted(SCHEDULERS)}"
-            )
         self.config = config
         self.cache = cache if cache is not None else ResultCache(
             config.resolved_cache_path(), config.cache_max_entries
@@ -149,12 +141,8 @@ class ServiceState:
 
     def _make_session(self) -> Session:
         # One session per worker thread: the NL provider holds the trained
-        # semantic parser (the expensive, reusable state), the scheduler is
-        # stateless per solve.
-        return Session(
-            provider=NlSketchProvider(num_sketches=self.config.sketches),
-            scheduler=make_scheduler(self.config.scheduler),
-        )
+        # semantic parser (the expensive, reusable state).
+        return Session(provider=NlSketchProvider(num_sketches=self.config.sketches))
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -586,7 +574,6 @@ class ServiceState:
         return 200, {
             "schema": WIRE_SCHEMA,
             "uptime_seconds": time.time() - self.started,
-            "scheduler": self.config.scheduler,
             "requests": requests,
             "cache": self.cache.stats(),
             "pool": self.pool.stats(),

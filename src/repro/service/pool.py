@@ -11,12 +11,11 @@ raises :class:`PoolSaturated` and the HTTP layer answers 429 — back-pressure
 instead of unbounded memory growth.  Each worker owns one long-lived
 :class:`~repro.api.Session` (the session holds the trained semantic parser,
 which is exactly the expensive state worth keeping warm); the session's
-scheduler — the in-process :class:`~repro.api.InterleavedScheduler` by
-default, :class:`~repro.api.ProcessPoolScheduler` for multi-core
-deployments — is what enforces each job's wall-clock budget and per-sketch
-timeout, so deadline enforcement needs no thread killing (the process pool
-terminates its own workers when a job ends).  Shutdown is graceful: queued jobs are cancelled, running
-jobs get their cancel tokens fired, and workers are joined.
+in-process scheduler (:func:`~repro.api.schedulers.interleave`) is what
+enforces each job's wall-clock budget and per-sketch timeout, so deadline
+enforcement needs no thread killing.  Shutdown is graceful: queued jobs are
+cancelled, running jobs get their cancel tokens fired, and workers are
+joined.
 """
 
 from __future__ import annotations
@@ -267,7 +266,7 @@ class WorkerPool:
     def _watch(self) -> None:
         """Settle jobs stuck past ``budget + grace`` as ``failed``.
 
-        The schedulers enforce budgets cooperatively, so a worker wedged in
+        The scheduler enforces budgets cooperatively, so a worker wedged in
         non-cooperative code (or an injected ``pool.job`` hang) would leave
         its job ``running`` forever and clients polling forever.  The
         watchdog fires the job's cancel token and — thanks to first-wins
@@ -346,7 +345,7 @@ class WorkerPool:
                 if job.finish(JOB_CANCELLED):
                     with self._stats_lock:
                         self.cancelled += 1
-        # Fire the cancel token of every in-flight job; the schedulers honour
+        # Fire the cancel token of every in-flight job; the scheduler honours
         # it cooperatively, so workers come back within one scheduling slice.
         with self._stats_lock:
             running = list(self._running)

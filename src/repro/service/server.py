@@ -232,7 +232,7 @@ def serve(config: ServiceConfig) -> int:
         previous_sigterm = None
     print(
         f"regel service listening on http://{host}:{port} "
-        f"({config.workers} workers, scheduler={config.scheduler}, "
+        f"({config.workers} workers, "
         f"cache={state.cache.stats()['backend']})",
         flush=True,
     )

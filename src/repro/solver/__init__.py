@@ -18,9 +18,7 @@ implements a complete solver for exactly that fragment:
 * :mod:`repro.solver.solver` — the :class:`Solver` facade plus the
   incremental :class:`SolverInstance` (``solve(assumptions)``), which is
   what the ``InferConstants`` loop (Figure 14) uses so blocking clauses are
-  assumption literals over the already-compiled store,
-* :mod:`repro.solver.legacy` — the original recompute-everything
-  backtracker, kept as the reference oracle for differential tests.
+  assumption literals over the already-compiled store.
 """
 
 from repro.solver.terms import (
@@ -44,7 +42,6 @@ from repro.solver.terms import (
 )
 from repro.solver.solver import Solver, SolverInstance
 from repro.solver.store import CompiledStore, Interval, SolverStats, UNKNOWN
-from repro.solver.legacy import LegacySolver
 
 __all__ = [
     "Term",
@@ -68,7 +65,6 @@ __all__ = [
     "SolverInstance",
     "CompiledStore",
     "SolverStats",
-    "LegacySolver",
     "Interval",
     "UNKNOWN",
 ]

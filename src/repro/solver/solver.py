@@ -1,13 +1,13 @@
 """Propagation-based incremental solver for bounded integer constraints.
 
-The public surface is unchanged from the legacy backtracker —
+The public surface is unchanged from the original backtracker —
 ``Solver.solve(formula, domains, prefer=…, deadline=…)`` returns a model or
 None — but the implementation is rebuilt around a compiled constraint store
 (:mod:`repro.solver.store`) with interval/bounds propagation
 (:mod:`repro.solver.propagate`):
 
 * the formula is compiled **once** into indexed conjuncts with precomputed
-  variable sets and connected components (the legacy solver re-ran
+  variable sets and connected components (the original backtracker re-ran
   ``var_names`` and union-find at every search node),
 * every branching decision first narrows all affected domains to a fixpoint,
   so ``range(lo, hi + 1)`` enumeration only happens inside already-tight
@@ -18,8 +18,8 @@ None — but the implementation is rebuilt around a compiled constraint store
   assumption literals instead of rebuilding a quadratically growing
   conjunction.
 
-The legacy implementation survives unchanged in :mod:`repro.solver.legacy`
-as the reference oracle for differential tests.
+Its differential oracle is a brute-force enumeration of every assignment
+(``tests/test_solver_incremental.py``).
 """
 
 from __future__ import annotations

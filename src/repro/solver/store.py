@@ -1,7 +1,7 @@
 """Compiled constraint store: a ``T.Formula`` indexed once for many solves.
 
 The Figure-14 loop solves the *same* conjunction over and over, each time
-with one more blocking clause.  The legacy solver re-derived everything —
+with one more blocking clause.  The original backtracker re-derived everything —
 variable sets, connected components, sub-term intervals — at every search
 node of every solve.  :func:`compile_store` does that work exactly once:
 
@@ -413,21 +413,6 @@ def _compile_part(formula: T.Formula) -> OrPart:
     return OrPart(atoms=None, residual=formula, vars=names)
 
 
-def compile_conjuncts(formula: T.Formula) -> Optional[List[Conjunct]]:
-    """Compile a whole formula into conjuncts; None when trivially FALSE."""
-    try:
-        parts: List[T.Formula] = []
-        _nnf_conjuncts(formula, False, parts)
-        compiled: List[Conjunct] = []
-        for part in parts:
-            conjunct = compile_conjunct(part)
-            if conjunct is not None:
-                compiled.append(conjunct)
-        return compiled
-    except UnsatStore:
-        return None
-
-
 def compile_conjunct(formula: T.Formula) -> Optional[Conjunct]:
     """Compile one NNF conjunct; None for a trivially-true conjunct."""
     formula = _strip_exists(formula)
@@ -467,8 +452,8 @@ def compute_components(
 
     Returns ``[(conjunct indices, variables)]``; conjuncts mentioning only
     shared variables belong to no component (they are checked while the
-    shared variables are branched).  Computed once per compile — the legacy
-    solver re-ran this at every search node.
+    shared variables are branched).  Computed once per compile — the original
+    backtracker re-ran this at every search node.
     """
     count = len(conjuncts)
     parent = list(range(count))
@@ -526,7 +511,7 @@ class CompiledStore:
                 # Collect variables from the *formulas*, not the compiled
                 # atoms: normalisation drops cancelled monomials (x == x), but
                 # the model contract is a full assignment over every variable
-                # the formula mentions, like the legacy solver's.
+                # the formula mentions.
                 formula_vars |= T.var_names(part)
                 conjunct = compile_conjunct(part)
                 if conjunct is not None:

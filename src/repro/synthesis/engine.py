@@ -93,8 +93,8 @@ class SynthesisRun:
     in budget-chunked slices by a scheduler: :meth:`step` runs until its time
     or expansion slice is exhausted and returns, and a later :meth:`step`
     resumes exactly where the previous one stopped.  This is what lets the
-    portfolio schedulers in :mod:`repro.api.schedulers` interleave many
-    per-sketch engine instances inside one process.
+    portfolio scheduler, :func:`repro.api.schedulers.interleave`, interleave
+    many per-sketch engine instances inside one process.
     """
 
     def __init__(self, synthesizer: "Synthesizer", sketch: sast.Sketch, examples: Examples):

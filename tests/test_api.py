@@ -1,32 +1,29 @@
-"""Tests for the pipeline API: specs, providers, schedulers, sessions."""
+"""Tests for the pipeline API: specs, providers, the scheduler, sessions."""
 
 import dataclasses
 import json
-import multiprocessing
 import time
 
 import pytest
 
 from repro.api import (
     CancelToken,
-    InterleavedScheduler,
     NlSketchProvider,
     PbeOnlyProvider,
     Problem,
-    ProcessPoolScheduler,
-    SCHEDULERS,
     RunReport,
     Session,
     SketchReport,
     Solution,
     StaticSketchProvider,
-    make_scheduler,
 )
 from repro.api.schedulers import SLICE_EXPANSIONS
 from repro.dsl import matches
 from repro.dsl.printer import to_dsl_string
+from repro.dsl.simplify import size
 from repro.sketch import Hole, parse_sketch
 from repro.synthesis import EngineVariant, SynthesisConfig, Synthesizer
+from repro.synthesis.engine import SynthesisRun
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +75,6 @@ class TestRunReportSerialisation:
     def test_report_json_round_trip(self):
         report = RunReport(
             problem=THREE_DIGITS,
-            scheduler="interleaved",
             solutions=[Solution(regex="Repeat(<num>,3)", size=2, sketch_index=0, elapsed=0.1)],
             sketches=[
                 SketchReport(
@@ -148,21 +144,10 @@ class TestProviders:
 
 
 class TestSchedulers:
-    @pytest.mark.parametrize(
-        "scheduler",
-        [InterleavedScheduler(), ProcessPoolScheduler()],
-        ids=["interleaved", "process-pool"],
-    )
-    def test_scheduler_equivalence_on_benchmark_slice(self, scheduler, fast_config):
-        """All schedulers find the same best regex on easy benchmark problems."""
-        session = Session(scheduler=scheduler, config=fast_config)
-        report = session.solve(THREE_DIGITS)
-        assert report.solved, scheduler.name
+    def test_best_regex_on_an_easy_benchmark_problem(self, fast_config):
+        report = Session(config=fast_config).solve(THREE_DIGITS)
+        assert report.solved
         assert report.best.regex == "Repeat(<num>,3)"
-        assert report.scheduler == scheduler.name
-
-    def test_session_defaults_to_interleaved(self):
-        assert isinstance(Session(provider=PbeOnlyProvider()).scheduler, InterleavedScheduler)
 
     # A pathological first sketch (unconstrained hole at full depth on examples
     # plain PBE cannot crack quickly) ahead of the trivially checkable target.
@@ -231,22 +216,37 @@ class TestSchedulers:
         assert hog.elapsed < 1.5
         assert report.elapsed < 1.5
 
-    def test_process_pool_leaves_no_worker_running(self):
-        """Workers still searching when the run ends are terminated.
+    def test_top_ranked_sketch_gets_half_of_every_round(self, monkeypatch):
+        """Rank-first turns: the top sketch steps as many pops as all hogs together.
 
-        The hog would search for the whole 30 s budget; sketch 2 reaches
-        ``k`` at once, and no worker may outlive that.
+        Three ``Hole()`` hogs are ranked behind a sketch that needs about
+        1,600 pops; no cap and no wall-clock guard binds, so every turn runs
+        its full allowance until the top sketch answers.
         """
+        top = "Concat(Hole(<cap>),Concat(<->,Repeat(<num>,4)))"
+        turns = []  # (is the top sketch, pops stepped) per turn
+        step = SynthesisRun.step
+
+        def recording(run, budget, max_expansions=None):
+            before = run.result.expansions
+            result = step(run, budget, max_expansions)
+            turns.append((run.sketch != Hole(()), result.expansions - before))
+            return result
+
+        monkeypatch.setattr(SynthesisRun, "step", recording)
         report = Session(
-            provider=StaticSketchProvider(self.STARVATION_SKETCHES),
-            scheduler=ProcessPoolScheduler(),
-            config=SynthesisConfig(timeout=30.0),
-        ).solve(dataclasses.replace(self.STARVATION_PROBLEM, budget=30.0))
-        returned = time.monotonic()
-        assert report.solved
-        while multiprocessing.active_children() and time.monotonic() - returned < 2.0:
-            time.sleep(0.05)
-        assert multiprocessing.active_children() == []
+            provider=StaticSketchProvider([top] + ["Hole()"] * 3),
+            config=SynthesisConfig(timeout=60.0),
+        ).solve(dataclasses.replace(self.STARVATION_PROBLEM, budget=60.0))
+        assert report.solved and report.best.sketch_index == 0
+        rounds = []  # [top pops, hog pops] per round
+        for is_top, pops in turns:
+            if is_top:
+                rounds.append([pops, 0])
+            else:
+                rounds[-1][1] += pops
+        assert len(rounds) > 1
+        assert all(top_pops >= hog_pops for top_pops, hog_pops in rounds), rounds
 
     def test_interleaved_keeps_all_solutions_across_slices(self):
         """Solutions found in later turns must not be lost to re-ranking.
@@ -267,12 +267,13 @@ class TestSchedulers:
             to_dsl_string(regex) for regex in oracle.regexes
         ]
 
-    def test_in_process_and_process_pool_agree(self):
-        """Under an expansion cap, both schedulers do identical work.
+    def test_turns_do_the_work_of_uninterrupted_runs(self):
+        """Under an expansion cap, turns change nothing but the order of work.
 
-        ``k`` is at least the sketch count, so neither scheduler cancels a
-        run: each sketch's search is the same deterministic computation
-        whether it runs in turns in-process or whole in a worker.
+        ``k`` is at least the sketch count, so the session cancels no run:
+        each sketch's search is the same deterministic computation whether
+        it runs in turns or whole, and the oracle is one uninterrupted
+        engine run per sketch.
         """
         sketches = [
             "Hole()",
@@ -288,17 +289,21 @@ class TestSchedulers:
         )
         config = SynthesisConfig(timeout=60.0, hole_depth=2, max_expansions=150)
 
-        def observed(scheduler):
-            report = Session(
-                provider=StaticSketchProvider(sketches), scheduler=scheduler, config=config
-            ).solve(problem)
-            work = [[s.index, s.expansions, s.pruned] for s in report.sketches]
-            return [s.regex for s in report.solutions], work
-
-        solutions, work = observed(InterleavedScheduler())
-        assert (solutions, work) == observed(ProcessPoolScheduler())
-        assert solutions
-        assert [index for index, _, _ in work] == [0, 1, 2]
+        report = Session(provider=StaticSketchProvider(sketches), config=config).solve(
+            problem
+        )
+        work = [[s.index, s.expansions, s.pruned] for s in report.sketches]
+        oracle = [
+            Synthesizer(config).synthesize(parse_sketch(sketch), problem.examples())
+            for sketch in sketches
+        ]
+        assert work == [
+            [index, result.expansions, result.pruned] for index, result in enumerate(oracle)
+        ]
+        found = {to_dsl_string(regex): size(regex) for result in oracle for regex in result.regexes}
+        ranked = sorted(found, key=lambda text: (found[text], text))[: problem.k]
+        assert [s.regex for s in report.solutions] == ranked
+        assert ranked
         # The cap binds after several turns, so resumption is exercised.
         assert max(expansions for _, expansions, _ in work) == 150 > SLICE_EXPANSIONS
 
@@ -306,19 +311,10 @@ class TestSchedulers:
         """Sketches that never received a turn are not phantom attempts."""
         provider = StaticSketchProvider(["Repeat(<num>,3)"] + ["Hole()"] * 4)
         problem = Problem("", positive=["123"], negative=["12"], k=1, budget=8.0)
-        report = Session(
-            provider=provider, scheduler=InterleavedScheduler(), config=fast_config
-        ).solve(problem)
+        report = Session(provider=provider, config=fast_config).solve(problem)
         assert report.solved
         assert report.sketches_tried == 1
         assert all(sketch.expansions > 0 for sketch in report.sketches)
-
-    def test_make_scheduler_registry(self):
-        assert sorted(SCHEDULERS) == ["interleaved", "process-pool"]
-        assert make_scheduler("interleaved").name == "interleaved"
-        assert make_scheduler("process-pool").name == "process-pool"
-        with pytest.raises(ValueError):
-            make_scheduler("sequential")
 
 
 class TestSessionStreaming:
@@ -331,7 +327,7 @@ class TestSessionStreaming:
             k=1,
             budget=15.0,
         )
-        session = Session(scheduler=InterleavedScheduler(), config=fast_config)
+        session = Session(config=fast_config)
         start = time.monotonic()
         first = next(iter(session.iter_solutions(problem)))
         first_at = time.monotonic() - start
@@ -347,7 +343,6 @@ class TestSessionStreaming:
         )
         session = Session(
             provider=StaticSketchProvider(["Repeat(<num>,3)", "Hole()"]),
-            scheduler=InterleavedScheduler(),
             config=fast_config,
         )
         start = time.monotonic()

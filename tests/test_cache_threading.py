@@ -14,12 +14,7 @@ import threading
 import pytest
 
 from repro import caches
-from repro.api import (
-    NlSketchProvider,
-    Problem,
-    Session,
-    make_scheduler,
-)
+from repro.api import NlSketchProvider, Problem, Session
 from repro.dsl.ast import NODE_CLASSES, CharClass, Concat, KleeneStar, Repeat
 from repro.dsl.charclass import CharClassKind
 from repro.dsl.intern import check_intern_tables
@@ -50,10 +45,7 @@ _HAMMER_PROBLEMS = [
 
 
 def _make_session() -> Session:
-    return Session(
-        provider=NlSketchProvider(num_sketches=6),
-        scheduler=make_scheduler("interleaved"),
-    )
+    return Session(provider=NlSketchProvider(num_sketches=6))
 
 
 class TestPoolHammer:

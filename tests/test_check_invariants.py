@@ -43,36 +43,6 @@ class TestFrozenMutation:
         assert findings == []
 
 
-class TestLegacyImport:
-    def test_from_import_flagged(self, tmp_path):
-        findings = _check_source(
-            tmp_path, "from repro.solver.legacy import LegacySolver\n"
-        )
-        assert [f[2] for f in findings] == ["legacy-import"]
-
-    def test_plain_import_flagged(self, tmp_path):
-        findings = _check_source(tmp_path, "import repro.solver.legacy\n")
-        assert [f[2] for f in findings] == ["legacy-import"]
-
-    def test_reexport_from_solver_package_flagged(self, tmp_path):
-        findings = _check_source(
-            tmp_path, "from repro.solver import legacy\n"
-        )
-        assert [f[2] for f in findings] == ["legacy-import"]
-
-    def test_owning_package_allowed(self, tmp_path):
-        findings = _check_source(
-            tmp_path,
-            "from repro.solver.legacy import LegacySolver\n",
-            relative="repro/solver/__init__.py",
-        )
-        assert findings == []
-
-    def test_normal_solver_import_allowed(self, tmp_path):
-        findings = _check_source(tmp_path, "from repro.solver import Solver\n")
-        assert findings == []
-
-
 class TestUnregisteredMutable:
     def test_empty_dict_flagged(self, tmp_path):
         findings = _check_source(tmp_path, "_CACHE = {}\n")

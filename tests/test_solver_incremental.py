@@ -1,13 +1,10 @@
 """Differential tests for the propagation-based solver.
 
-The new compiled-store solver is pinned to two oracles on randomized
+The compiled-store solver is pinned to a brute-force oracle on randomized
 formulas, mirroring the ``RecursiveMatcher`` pattern of the evaluation layer:
-
-* a **brute-force oracle** that enumerates every assignment of the (small)
-  domains and evaluates the formula ground — SAT/UNSAT must agree, and every
-  returned model must actually satisfy the formula,
-* the **legacy backtracker** (:class:`repro.solver.legacy.LegacySolver`),
-  the implementation the store replaced.
+it enumerates every assignment of the (small) domains and evaluates the
+formula ground — SAT/UNSAT must agree, and every returned model must
+actually satisfy the formula.
 
 Plus behaviour tests for the incremental path: assumption literals (and the
 narrow contract of what counts as one), deadline and step budgets.
@@ -24,7 +21,6 @@ from repro.solver import (
     AndF,
     Cmp,
     Const,
-    LegacySolver,
     Mul,
     NotF,
     OrF,
@@ -142,14 +138,6 @@ class TestDifferentialVsBruteForce:
             env = {name: model.get(name, _DOMAINS[name][0]) for name in _NAMES}
             assert _holds(formula, env), f"model {model} does not satisfy"
 
-    @given(st.lists(_formulas, min_size=1, max_size=4))
-    @settings(max_examples=100, deadline=None)
-    def test_sat_agrees_with_legacy_backtracker(self, parts):
-        formula = conjoin(parts) if len(parts) > 1 else parts[0]
-        legacy = LegacySolver().solve(formula, _DOMAINS)
-        model = Solver().solve(formula, _DOMAINS)
-        assert (model is None) == (legacy is None)
-
     @given(st.lists(_formulas, min_size=1, max_size=3), st.integers(0, 6))
     @settings(max_examples=100, deadline=None)
     def test_assumptions_equal_conjoined_constraints(self, parts, pin):
@@ -176,7 +164,11 @@ class TestIncrementalEnumeration:
         ])
 
     def test_blocking_assumptions_match_legacy_blocking_clauses(self):
-        """Enumerating k1 by assumption literals = legacy conjoined blocking."""
+        """Enumerating k1 by assumption literals = conjoined blocking clauses.
+
+        The conjoined clauses are solved by the brute-force oracle, which
+        enumerates in lexicographic order and so also finds the least k1.
+        """
         domains = {"k1": (1, 30), "k2": (1, 30)}
         instance = Solver().compile(self._formula(), domains, shared=("k1", "k2"))
         new_seen = []
@@ -188,17 +180,16 @@ class TestIncrementalEnumeration:
             new_seen.append(model["k1"])
             assumptions.append(("k1", "!=", model["k1"]))
 
-        legacy_seen = []
-        legacy = LegacySolver()
+        oracle_seen = []
         blocked = self._formula()
         while True:
-            model = legacy.solve(blocked, domains, prefer=["k1", "k2"])
-            if model is None or len(legacy_seen) >= 10:
+            model = _brute_force_sat(blocked, domains)
+            if model is None or len(oracle_seen) >= 10:
                 break
-            legacy_seen.append(model["k1"])
+            oracle_seen.append(model["k1"])
             blocked = AndF([blocked, NotF(Cmp("==", Var("k1"), Const(model["k1"])))])
 
-        assert new_seen == legacy_seen == [1, 2, 3, 4, 5, 6]
+        assert new_seen == oracle_seen == [1, 2, 3, 4, 5, 6]
 
     def test_assumption_on_variable_outside_the_formula(self):
         """Blocking literals may name κ the encoding never mentions."""

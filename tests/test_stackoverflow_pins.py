@@ -20,6 +20,12 @@ budgets that never bind, so its outcome and its work are deterministic:
   regenerates the golden file with ``python tests/test_stackoverflow_pins.py``
   (from the repository root, with ``src`` on ``PYTHONPATH``) and explains the
   diff.
+* The uncapped pins solve ``stackoverflow-030`` and ``-050`` for one
+  answer with no expansion cap.  Rank-first turns give the top-ranked
+  sketch as many pops as all the others together, and on these tasks it
+  answers within its first turn, so it is the only sketch attempted and the
+  work to the first answer is bounded.  Round-robin turns of 50 pops spent
+  10,817 and 13,231 expansions before the first answer.
 """
 
 import json
@@ -42,6 +48,8 @@ K = 3
 
 PANEL_PIN = Path(__file__).parent / "fixtures" / "stackoverflow_panel_pin.json"
 PANEL = [f"stackoverflow-{index:03d}" for index in range(0, 62, 10)]
+#: Upper bounds on the expansions to the first answer with no cap.
+UNCAPPED_FIRST_ANSWER = {"stackoverflow-030": 745, "stackoverflow-050": 628}
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +101,21 @@ def test_panel_behaviour_and_work_are_pinned(task_id, tasks):
     assert observed["sketches"] == golden["sketches"]
     assert observed["eval_cache_misses"] <= golden["eval_cache_misses"]
     assert observed["solver_propagations"] <= golden["solver_propagations"]
+
+
+@pytest.mark.parametrize("task_id", sorted(UNCAPPED_FIRST_ANSWER))
+def test_uncapped_first_answer_comes_from_the_top_sketch(task_id, tasks):
+    task = tasks[task_id]
+    session = Session(
+        provider=NlSketchProvider(SemanticParser(), num_sketches=SKETCHES),
+        config=SynthesisConfig(timeout=UNBOUNDED_SECONDS),
+    )
+    report = session.solve(
+        Problem(task.description, task.positive, task.negative, k=1, budget=UNBOUNDED_SECONDS)
+    )
+    assert report.solved and report.best.sketch_index == 0
+    assert [sketch.index for sketch in report.sketches] == [0]
+    assert report.total_expansions <= UNCAPPED_FIRST_ANSWER[task_id]
 
 
 def _write_panel_pin() -> None:

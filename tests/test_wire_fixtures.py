@@ -14,7 +14,9 @@ The fixtures under ``tests/fixtures/`` are committed renderings of the
 * ``run_report_v1_retired_counters.json`` — ``run_report_v1.json`` as it was
   written while reports still carried the counters of the retired static
   pre-filter and compiled-membership evaluator (``static_prune_*``,
-  ``dfa_*``).  It must still load, and reads back as the current fixture.
+  ``dfa_*``) and the name of the scheduler that produced them
+  (``scheduler``; there is one scheduler now).  It must still load, and
+  reads back as the current fixture.
 * ``batch_v1.json`` — a persisted :class:`~repro.service.BatchRecord` as the
   batch-ingestion endpoint writes it.  Records outlive server processes (that
   is their whole point), so the on-disk shape is a compatibility surface just
@@ -30,6 +32,9 @@ from repro.api import Problem, RunReport
 from repro.dsl.parser import parse_regex
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+#: Report keys deliberately retired from the wire format: old reports that
+#: carry them still load (``from_dict`` ignores them), new ones omit them.
+RETIRED_REPORT_KEYS = {"scheduler"}
 
 
 def _load(name: str) -> dict:
@@ -101,6 +106,7 @@ class TestBackwardCompat:
         # extra sketch keys; from_dict ignores them and nothing re-emits them.
         old = _load("run_report_v1_retired_counters.json")
         assert "dfa_compiled" in old["sketches"][0]
+        assert RETIRED_REPORT_KEYS <= set(old)
         report = RunReport.from_dict(old)
         assert report.to_dict() == _load("run_report_v1.json")
 
@@ -121,10 +127,12 @@ class TestBackwardCompat:
 
     def test_current_report_fields_are_superset_of_legacy(self):
         # A field present in the legacy fixture must still exist today:
-        # removing one silently breaks old readers.
+        # removing one silently breaks old readers.  Only a field listed as
+        # deliberately retired may be missing.
         legacy = _load("run_report_v0_legacy.json")
         current = RunReport.from_dict(legacy).to_dict()
-        assert set(legacy) <= set(current)
+        assert set(legacy) - RETIRED_REPORT_KEYS <= set(current)
+        assert not RETIRED_REPORT_KEYS & set(current)
         assert set(legacy["sketches"][0]) <= set(current["sketches"][0])
 
 

@@ -5,7 +5,7 @@ Run from the repository root (CI does)::
 
     python tools/check_invariants.py
 
-Three repository-wide invariants that no unit test can pin down, because each
+Two repository-wide invariants that no unit test can pin down, because each
 is a property of *all* source files at once:
 
 ``frozen-mutation``
@@ -13,11 +13,6 @@ is a property of *all* source files at once:
     its use is confined to the modules that own the node lifecycles (interning
     and ``__post_init__`` canonicalisation).  Anywhere else it is someone
     mutating a shared, hash-consed node — a cross-thread data race.
-
-``legacy-import``
-    ``repro.solver.legacy`` is the pre-PR-4 reference solver, kept for
-    differential tests only.  Production modules must import
-    ``repro.solver`` (whose ``__init__`` alone may re-export it).
 
 ``unregistered-mutable``
     Worker threads share every module-level container.  Mutable module state
@@ -60,9 +55,6 @@ SETATTR_ALLOWED = {
 MUTABLE_ALLOWED = {
     "repro/caches.py": {"_REGISTRY"},  # the registry itself, locked on write
 }
-
-#: The owning package may re-export the legacy solver for the tests.
-LEGACY_IMPORT_ALLOWED = {"repro/solver/__init__.py"}
 
 MUTABLE_CONSTRUCTORS = {
     "dict",
@@ -143,34 +135,6 @@ def check_file(path: Path, relative: "str | None" = None) -> List[Finding]:
                     "hash-consed) node; only the node-lifecycle modules may",
                 )
             )
-        # Imports of the differential-testing-only legacy solver.
-        if relative in LEGACY_IMPORT_ALLOWED:
-            pass
-        elif isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            if module.startswith("repro.solver.legacy") or (
-                module == "repro.solver" and any(a.name == "legacy" for a in node.names)
-            ):
-                findings.append(
-                    (
-                        relative,
-                        node.lineno,
-                        "legacy-import",
-                        "repro.solver.legacy is for differential tests only; "
-                        "import repro.solver",
-                    )
-                )
-        elif isinstance(node, ast.Import):
-            if any(alias.name.startswith("repro.solver.legacy") for alias in node.names):
-                findings.append(
-                    (
-                        relative,
-                        node.lineno,
-                        "legacy-import",
-                        "repro.solver.legacy is for differential tests only; "
-                        "import repro.solver",
-                    )
-                )
 
     # Module-level mutable bindings that bypass the cache registry.
     allowed_names = MUTABLE_ALLOWED.get(relative, set())
