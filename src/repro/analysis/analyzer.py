@@ -20,7 +20,7 @@ The partial-regex entry point has two modes:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from repro import caches
 from repro.dsl import ast as rast

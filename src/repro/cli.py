@@ -37,7 +37,7 @@ import os
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence
 
 from repro.api import (
     NlSketchProvider,

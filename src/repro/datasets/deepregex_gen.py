@@ -17,7 +17,7 @@ paraphrasing the English via Mechanical Turk.  We reproduce the same pipeline:
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.automata.operations import language_nonempty
 from repro.datasets.benchmark import Benchmark

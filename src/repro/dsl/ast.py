@@ -11,7 +11,7 @@ positive integer arguments, as the paper mandates).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from repro.dsl.charclass import CharClassKind, class_display, literal_kind

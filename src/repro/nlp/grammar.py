@@ -15,7 +15,7 @@ apply to the given values (e.g. a malformed integer range).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 from repro.dsl import ast as rast
 from repro.sketch import ast as sast

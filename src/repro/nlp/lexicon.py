@@ -10,7 +10,6 @@ descriptions and the StackOverflow-style posts).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.dsl import ast as rast
 

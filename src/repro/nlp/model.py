@@ -13,7 +13,7 @@ import json
 import math
 import random
 from pathlib import Path
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 
 class LogLinearModel:
@@ -75,21 +75,26 @@ class LogLinearModel:
                 roots = parser.parse(utterance)[:beam_roots]
                 if not roots:
                     continue
-                correct = [d for d in roots if is_correct(d, gold)]
-                if not correct:
+                correct_indices = [
+                    index for index, d in enumerate(roots) if is_correct(d, gold)
+                ]
+                if not correct_indices:
                     continue
                 reachable += 1
-                self._update(roots, correct, learning_rate, l2)
+                self._update(roots, correct_indices, learning_rate, l2)
             stats["reachable"] = float(reachable)
         return stats
 
-    def _update(self, roots, correct, learning_rate: float, l2: float) -> None:
-        """One gradient step of the beam-normalised log-likelihood."""
+    def _update(self, roots, correct_indices, learning_rate: float, l2: float) -> None:
+        """One gradient step of the beam-normalised log-likelihood.
+
+        ``correct_indices`` are the positions in ``roots`` of the derivations
+        that realise the gold sketch.
+        """
         scores = [self.score(d.features) for d in roots]
         log_z = _log_sum_exp(scores)
         probabilities = [math.exp(score - log_z) for score in scores]
 
-        correct_indices = [index for index, d in enumerate(roots) if d in correct]
         correct_scores = [scores[index] for index in correct_indices]
         log_z_correct = _log_sum_exp(correct_scores)
         correct_probabilities = {

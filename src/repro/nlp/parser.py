@@ -9,9 +9,9 @@ search tractable; the beam is ordered by the current model score.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, List, Sequence, Tuple
 
 from repro.dsl import ast as rast
 from repro.dsl.ast import string_literal
@@ -33,7 +33,7 @@ class Derivation:
     features: Dict[str, float] = field(default_factory=dict)
     score: float = 0.0
 
-    @property
+    @cached_property
     def covered(self) -> int:
         """Number of tokens actually consumed by lexical leaves."""
         if not self.children:
@@ -72,17 +72,19 @@ class ChartParser:
     def parse(self, text: str, root_category: str = "$ROOT") -> List[Derivation]:
         """Parse an utterance; returns root derivations sorted by score."""
         tokens = tokenize(text)
-        derivations = self._lexical_derivations(tokens)
         chart = _Beam(self.beam_size)
-        for derivation in derivations:
+        for derivation in self._lexical_derivations(tokens):
             self._score(derivation)
             chart.add(derivation)
 
+        # Every (rule, combination) tried so far, keyed by the children's ids;
+        # holding the combination keeps those ids from being reused.
+        tried: Dict[tuple, Tuple[Derivation, ...]] = {}
         for _ in range(self.max_passes):
             new_items: List[Derivation] = []
             snapshot = chart.by_category()
             for rule in self.rules:
-                new_items.extend(self._apply_rule(rule, snapshot))
+                new_items.extend(self._apply_rule(rule, snapshot, tried))
             added = False
             for item in new_items:
                 self._score(item)
@@ -126,12 +128,28 @@ class ChartParser:
                     )
         return derivations
 
-    def _apply_rule(self, rule: Rule, by_category: Dict[str, List[Derivation]]) -> List[Derivation]:
+    def _apply_rule(
+        self,
+        rule: Rule,
+        by_category: Dict[str, List[Derivation]],
+        tried: Dict[tuple, Tuple[Derivation, ...]],
+    ) -> List[Derivation]:
+        """Derivations of ``rule`` over the combinations not in ``tried``.
+
+        A combination tried in an earlier pass is skipped: ``rule.fn``, the
+        features and the score are deterministic, so it would rebuild the same
+        derivation, and the chart would reject it again (its signature stays
+        seen, and a full cell stays full while its minimum score never falls).
+        """
         pools = [by_category.get(category, []) for category in rule.rhs]
         if any(not pool for pool in pools):
             return []
         results: List[Derivation] = []
         for combo in self._ordered_combinations(pools):
+            key = (rule.name, *map(id, combo))
+            if key in tried:
+                continue
+            tried[key] = combo
             value = rule.fn(*[d.value for d in combo])
             if value is None:
                 continue
@@ -152,20 +170,25 @@ class ChartParser:
     def _ordered_combinations(
         self, pools: List[List[Derivation]]
     ) -> List[Tuple[Derivation, ...]]:
-        """All tuples of derivations with ordered, non-overlapping spans."""
+        """Tuples of derivations with ordered, non-overlapping spans.
+
+        Each span starts at most ``max_gap`` tokens after the previous one
+        ends; tuples follow pool order, and each stage keeps its first 4,000.
+        """
         combos: List[Tuple[Derivation, ...]] = [()]
         for pool in pools:
             extended: List[Tuple[Derivation, ...]] = []
+            fitting: Dict[int | None, List[Derivation]] = {}
             for prefix in combos:
-                for derivation in pool:
-                    if prefix:
-                        gap = derivation.start - prefix[-1].end
-                        if gap < 0 or gap > self.max_gap:
-                            continue
-                    extended.append(prefix + (derivation,))
+                end = prefix[-1].end if prefix else None
+                if end not in fitting:
+                    fitting[end] = pool if end is None else [
+                        d for d in pool if end <= d.start <= end + self.max_gap
+                    ]
+                extended.extend(prefix + (d,) for d in fitting[end][:4000 - len(extended)])
+                if len(extended) == 4000:
+                    break
             combos = extended
-            if len(combos) > 4000:
-                combos = combos[:4000]
         return [combo for combo in combos if combo]
 
     def _score(self, derivation: Derivation) -> None:
@@ -192,10 +215,11 @@ class _Beam:
         key = (derivation.category, derivation.start, derivation.end)
         cell = self._cells.setdefault(key, [])
         if len(cell) >= self.beam_size:
-            worst = min(cell, key=lambda d: d.score)
-            if worst.score >= derivation.score:
+            scores = [d.score for d in cell]
+            lowest = min(scores)
+            if lowest >= derivation.score:
                 return False
-            cell.remove(worst)
+            del cell[scores.index(lowest)]
         self._seen.add(signature)
         cell.append(derivation)
         return True

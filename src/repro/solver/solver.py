@@ -31,7 +31,6 @@ from repro.solver import terms as T
 from repro.solver.propagate import Conflict, Trail, narrow_to, propagate
 from repro.solver.store import (
     CompiledStore,
-    _evaluate,  # noqa: F401  (re-exported: oracles/tests import it from here)
     Conjunct,
     Interval,
     SolverStats,

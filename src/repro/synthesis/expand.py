@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import count
-from typing import Callable, Iterable, List
+from typing import Iterable, List
 
 from repro.dsl import ast as rast
 from repro.sketch import ast as sast

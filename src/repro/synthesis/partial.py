@@ -19,7 +19,7 @@ still contains symbolic integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Union
 
 from repro.dsl import ast as rast
 from repro.dsl.intern import InternedMeta, freeze_interned

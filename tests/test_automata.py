@@ -2,7 +2,6 @@
 
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dsl import (
@@ -26,7 +25,6 @@ from repro.dsl import (
     matches,
 )
 from repro.automata import (
-    Alphabet,
     alphabet_for,
     compile_regex,
     difference_witness,

@@ -3,7 +3,6 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.dsl import (
-    ANY,
     Concat,
     Epsilon,
     KleeneStar,

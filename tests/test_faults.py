@@ -5,7 +5,6 @@ import time
 
 import pytest
 
-from repro import faults
 from repro.faults import (
     ENV_VAR,
     FaultPlan,

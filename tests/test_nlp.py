@@ -1,21 +1,28 @@
 """Tests for the semantic parser: tokenizer, lexicon, grammar, parsing, training."""
 
-import pytest
+from dataclasses import replace
+from typing import List
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.datasets import stackoverflow_dataset
+from repro.datasets.splits import train_test_split, training_pairs
 from repro.dsl import (
     Concat,
     LET,
     NUM,
     Repeat,
-    RepeatAtLeast,
     RepeatRange,
     literal,
     to_dsl_string,
 )
-from repro.nlp import ChartParser, LogLinearModel, SemanticParser, tokenize
+from repro.experiments.runner import trained_parser
+from repro.nlp import GRAMMAR_RULES, ChartParser, LogLinearModel, SemanticParser, tokenize
 from repro.nlp.lexicon import LEXICON, entries_by_first_lemma, max_phrase_length
+from repro.nlp.parser import Derivation, _Beam
 from repro.nlp.sketch_gen import concretize_sketch
-from repro.sketch import ConcreteRegexSketch, Hole, OpSketch, sketch_contains, sketch_to_string
+from repro.sketch import ConcreteRegexSketch, Hole, sketch_to_string
 
 
 class TestTokenizer:
@@ -165,3 +172,145 @@ class TestTraining:
         model.save(path)
         loaded = LogLinearModel.load(path)
         assert loaded.weights == model.weights
+
+
+# ---------------------------------------------------------------------------
+# Differential oracle: the retry-everything chart parser
+# ---------------------------------------------------------------------------
+
+
+class _RemovingBeam(_Beam):
+    """The chart evicting its worst derivation with ``list.remove``."""
+
+    def add(self, derivation: Derivation) -> bool:
+        signature = derivation.signature()
+        if signature in self._seen:
+            return False
+        key = (derivation.category, derivation.start, derivation.end)
+        cell = self._cells.setdefault(key, [])
+        if len(cell) >= self.beam_size:
+            worst = min(cell, key=lambda d: d.score)
+            if worst.score >= derivation.score:
+                return False
+            cell.remove(worst)
+        self._seen.add(signature)
+        cell.append(derivation)
+        return True
+
+
+class _RetryingChartParser(ChartParser):
+    """Oracle: re-applies every rule to every combination on every pass,
+    enumerating all combinations before truncating them."""
+
+    def parse(self, text: str, root_category: str = "$ROOT") -> List[Derivation]:
+        chart = _RemovingBeam(self.beam_size)
+        for derivation in self._lexical_derivations(tokenize(text)):
+            self._score(derivation)
+            chart.add(derivation)
+        for _ in range(self.max_passes):
+            new_items: List[Derivation] = []
+            snapshot = chart.by_category()
+            for rule in self.rules:
+                new_items.extend(self._apply_rule(rule, snapshot, {}))
+            added = False
+            for item in new_items:
+                self._score(item)
+                if chart.add(item):
+                    added = True
+            if not added:
+                break
+        roots = [d for d in chart.all() if d.category == root_category]
+        roots.sort(key=lambda d: (-d.score, -d.covered))
+        return roots
+
+    def _ordered_combinations(self, pools):
+        combos = [()]
+        for pool in pools:
+            extended = []
+            for prefix in combos:
+                for derivation in pool:
+                    if prefix:
+                        gap = derivation.start - prefix[-1].end
+                        if gap < 0 or gap > self.max_gap:
+                            continue
+                    extended.append(prefix + (derivation,))
+            combos = extended
+            if len(combos) > 4000:
+                combos = combos[:4000]
+        return [combo for combo in combos if combo]
+
+
+def _roots(parser: ChartParser, text: str) -> list:
+    return [
+        (d.category, d.start, d.end, repr(d.value), d.rule, d.score, d.covered)
+        for d in parser.parse(text)
+    ]
+
+
+_DESCRIPTIONS = [task.description for task in stackoverflow_dataset()]
+
+
+@pytest.fixture(scope="module")
+def trained_model() -> LogLinearModel:
+    train, _ = train_test_split(stackoverflow_dataset(), 0.6, seed=29)
+    return trained_parser(train).model
+
+
+class TestParserMatchesRetryingOracle:
+    def test_untrained_on_stackoverflow(self):
+        assert len(_DESCRIPTIONS) == 62
+        for text in _DESCRIPTIONS:
+            assert _roots(ChartParser(), text) == _roots(_RetryingChartParser(), text), text
+
+    def test_trained_on_stackoverflow(self, trained_model):
+        for text in _DESCRIPTIONS:
+            assert _roots(ChartParser(model=trained_model), text) == _roots(
+                _RetryingChartParser(model=trained_model), text
+            ), text
+
+    def test_training_gives_the_same_weights(self):
+        train, _ = train_test_split(stackoverflow_dataset(), 0.6, seed=29)
+        pairs = training_pairs(train)[:12]
+        new, oracle = LogLinearModel(), LogLinearModel()
+        new.train(pairs, lambda: ChartParser(model=new), epochs=1)
+        oracle.train(pairs, lambda: _RetryingChartParser(model=oracle), epochs=1)
+        assert new.weights and new.weights == oracle.weights
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([" ".join(entry.phrase) for entry in LEXICON]),
+                st.integers(min_value=0, max_value=20).map(str),
+                st.text(alphabet="ab1-,.", max_size=3).map(lambda text: f'"{text}"'),
+                st.sampled_from(["then", "and", "or", "the", "with", "only"]),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_random_token_strings(self, pieces):
+        text = " ".join(pieces)
+        assert _roots(ChartParser(), text) == _roots(_RetryingChartParser(), text)
+
+
+def test_parse_work_on_stackoverflow_is_pinned():
+    """Semantic-function calls over the 62 descriptions, untrained parser.
+
+    Retrying every combination on every pass made 126,240 calls; trying each
+    (rule, combination) once makes 56,771.
+    """
+    calls = 0
+
+    def counted(rule):
+        def fn(*values):
+            nonlocal calls
+            calls += 1
+            return rule.fn(*values)
+
+        return replace(rule, fn=fn)
+
+    parser = ChartParser(rules=[counted(rule) for rule in GRAMMAR_RULES])
+    for text in _DESCRIPTIONS:
+        parser.parse(text)
+    assert calls <= 56_771

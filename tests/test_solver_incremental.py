@@ -28,7 +28,6 @@ from repro.solver import (
     TRUE,
     Var,
     conjoin,
-    var_names,
 )
 from repro.solver import terms as T
 

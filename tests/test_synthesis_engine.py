@@ -2,8 +2,6 @@
 
 import time
 
-import pytest
-
 from repro.dsl import (
     Concat,
     LET,
@@ -16,7 +14,7 @@ from repro.dsl import (
     matches,
     parse_regex,
 )
-from repro.sketch import Hole, concrete, hole, parse_sketch
+from repro.sketch import concrete, hole, parse_sketch
 from repro.solver import Solver
 from repro.synthesis import (
     EngineVariant,
@@ -25,13 +23,11 @@ from repro.synthesis import (
     POp,
     SymInt,
     SynthesisConfig,
-    Synthesizer,
     constraint_for_examples,
     infer_constants,
     synthesize,
 )
 from repro.solver.terms import substitute, var_names
-from repro.solver.solver import _evaluate  # type: ignore
 
 #: Section 2's motivating example: decimal(18,3).
 SECTION2_POSITIVES = ["123456789.123", "123456789123456.12", "12345.1", "123456789123456"]

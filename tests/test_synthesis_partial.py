@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dsl import Concat, NUM, Not, Optional, Or, Repeat, RepeatRange, literal, matches
+from repro.dsl import Concat, NUM, Not, Or, Repeat, RepeatRange, literal, matches
 from repro.sketch import concrete, hole, parse_sketch
 from repro.synthesis import (
     Examples,
