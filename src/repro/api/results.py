@@ -73,7 +73,8 @@ class SketchReport:
     sketch: str
     #: Worklist expansions performed by this sketch's engine instance.
     expansions: int
-    #: Candidates discarded by the approximation check.
+    #: Candidates discarded by the approximation check when they reached the
+    #: top of the worklist (candidates never reached are never checked).
     pruned: int
     #: Engine time spent on this sketch, in seconds.
     elapsed: float

@@ -8,8 +8,14 @@ size, and processes each according to its kind:
 * **symbolic** regexes (no open nodes, but unknown integer constants) are
   handed to :func:`repro.synthesis.infer_constants.infer_constants`,
 * otherwise one open node is selected and expanded with
-  :func:`repro.synthesis.expand.expand`, and infeasible expansions are pruned
-  with the approximation check of Section 4.1.
+  :func:`repro.synthesis.expand.expand`.
+
+Expansions go on the worklist unchecked.  The approximation check of Section
+4.1 runs when one reaches the top of the worklist, and an infeasible one is
+dropped there: each check is spent on a partial that the search would pop
+next, not on one that a cap or a found answer leaves on the worklist.  The
+partials expanded, and their order, are the same as when every expansion is
+checked before it is pushed.
 """
 
 from __future__ import annotations
@@ -59,7 +65,9 @@ class SynthesisResult:
     timed_out: bool = False
     #: Number of partial regexes taken off the worklist.
     expansions: int = 0
-    #: Number of candidates discarded by the approximation check.
+    #: Number of candidates discarded by the approximation check.  Only
+    #: candidates that reached the top of the worklist are checked, so this
+    #: counts none that the search stopped before reaching.
     pruned: int = 0
     #: Wall-clock time spent, in seconds.
     elapsed: float = 0.0
@@ -106,7 +114,11 @@ class SynthesisRun:
         self._literal_chars = examples.literal_characters()
         self._symints = SymIntFactory()
         self._counter = count()
-        self._worklist: list[tuple[int, int, PartialRegex]] = []
+        # Entries are (size, tick, checked, partial).  ``checked`` is False for
+        # an expansion not yet put through the approximation check; it lives
+        # in the entry, not on the node, because feasibility depends on this
+        # run's examples and interned nodes are shared across runs.
+        self._worklist: list[tuple[int, int, bool, PartialRegex]] = []
         # Hash-consing makes structurally equal partials the same object, so
         # worklist dedup is a set of interned nodes (no string rendering).
         self._seen: set[PartialRegex] = set()
@@ -125,10 +137,30 @@ class SynthesisRun:
         """True once the search is exhausted, solved, or hit its expansion cap."""
         return self._done
 
-    def _push(self, partial: PartialRegex) -> None:
+    def _push(self, partial: PartialRegex, checked: bool = True) -> None:
         heapq.heappush(
-            self._worklist, (partial_size(partial), next(self._counter), partial)
+            self._worklist, (partial_size(partial), next(self._counter), checked, partial)
         )
+
+    def _settle(self) -> bool:
+        """Make the worklist's top a checked, feasible entry; False when empty.
+
+        Unchecked entries that reach the top are put through the approximation
+        check.  Infeasible ones are dropped and counted as pruned (neither as
+        an expansion nor against a slice); the first feasible one is marked
+        checked in place, which keeps the heap order, since its key is kept.
+        """
+        worklist = self._worklist
+        while worklist:
+            size, tick, checked, partial = worklist[0]
+            if checked:
+                return True
+            if not infeasible(partial, self.examples, self.config):
+                worklist[0] = (size, tick, True, partial)
+                return True
+            heapq.heappop(worklist)
+            self.result.pruned += 1
+        return False
 
     def step(
         self, budget: float, max_expansions: Optional[int] = None
@@ -153,7 +185,8 @@ class SynthesisRun:
         conflicts_base = solver_stats.conflicts
         encode_hits_base = ENCODE_CACHE_STATS.hits
 
-        while self._worklist and not self._done:
+        # Every read of the worklist below sees a settled top.
+        while not self._done and self._settle():
             if result.expansions >= config.max_expansions:
                 result.timed_out = True
                 self._done = True
@@ -162,7 +195,7 @@ class SynthesisRun:
                 break
             if max_expansions is not None and slice_expansions >= max_expansions:
                 break
-            _, _, partial = heapq.heappop(self._worklist)
+            partial = heapq.heappop(self._worklist)[3]
             result.expansions += 1
             slice_expansions += 1
 
@@ -194,10 +227,7 @@ class SynthesisRun:
                 if successor in self._seen:
                     continue
                 self._seen.add(successor)
-                if infeasible(successor, examples, config):
-                    result.pruned += 1
-                    continue
-                self._push(successor)
+                self._push(successor, checked=False)
 
         if not self._worklist:
             self._done = True

@@ -18,8 +18,8 @@ budgets that never bind, so its outcome and its work are deterministic:
   inference shows up here as a diff; a change that does more work for the
   same answers shows up as a broken bound.  A deliberate behaviour change
   regenerates the golden file with ``python tests/test_stackoverflow_pins.py``
-  (from the repository root, with ``src`` on ``PYTHONPATH``) and explains the
-  diff.
+  (from the repository root, with ``src`` on ``PYTHONPATH``), which first
+  prints per task the fields that moved, and explains the diff.
 * The uncapped pins solve ``stackoverflow-030`` and ``-050`` for one
   answer with no expansion cap.  Rank-first turns give the top-ranked
   sketch as many pops as all the others together, and on these tasks it
@@ -118,12 +118,41 @@ def test_uncapped_first_answer_comes_from_the_top_sketch(task_id, tasks):
     assert report.total_expansions <= UNCAPPED_FIRST_ANSWER[task_id]
 
 
+def _differences(golden: dict, observed: dict) -> list:
+    """The fields of one task's pin that ``observed`` changes, as printable lines."""
+    lines = [
+        f"{name}: {golden.get(name)} -> {observed[name]}"
+        for name in ("solutions", "eval_cache_misses", "solver_propagations")
+        if golden.get(name) != observed[name]
+    ]
+    old, new = golden.get("sketches", []), observed["sketches"]
+    if len(old) != len(new):
+        lines.append(f"sketches attempted: {len(old)} -> {len(new)}")
+    for column, name in enumerate(("index", "expansions", "pruned")):
+        changed = sum(a[column] != b[column] for a, b in zip(old, new))
+        if changed:
+            lines.append(
+                f"sketches[].{name}: differs on {changed} of {len(new)}, total "
+                f"{sum(row[column] for row in old)} -> {sum(row[column] for row in new)}"
+            )
+    return lines
+
+
 def _write_panel_pin() -> None:
-    """Regenerate the golden file, one line per five sketches."""
+    """Regenerate the golden file, one line per five sketches.
+
+    Before writing, print per task which fields differ from the committed
+    file, so that a regeneration shows what it moved.
+    """
     everything = {b.benchmark_id: b for b in stackoverflow_dataset()}
+    committed = json.loads(PANEL_PIN.read_text(encoding="utf-8")) if PANEL_PIN.exists() else {}
     blocks = []
     for task_id in PANEL:
         observed = _observed(_solve(everything[task_id]))
+        lines = _differences(committed.get(task_id, {}), observed)
+        print(f"{task_id}:" + ("" if lines else " unchanged"))
+        for line in lines:
+            print(f"  {line}")
         triples = [json.dumps(triple) for triple in observed["sketches"]]
         rows = ",\n      ".join(
             ", ".join(triples[start:start + 5]) for start in range(0, len(triples), 5)

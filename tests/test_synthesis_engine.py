@@ -216,7 +216,7 @@ class TestSynthesizer:
         result = synthesize(sketch, SECTION2_POSITIVES, SECTION2_NEGATIVES, config=config)
         assert time.perf_counter() - start < SECONDS_CEILING
         assert result.solved
-        assert (result.expansions, result.pruned) == (660, 511)
+        assert (result.expansions, result.pruned) == (660, 463)
         regex = result.best
         assert all(matches(regex, p) for p in SECTION2_POSITIVES)
         assert not any(matches(regex, n) for n in SECTION2_NEGATIVES)
