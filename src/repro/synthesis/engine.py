@@ -7,15 +7,16 @@ size, and processes each according to its kind:
   consistent,
 * **symbolic** regexes (no open nodes, but unknown integer constants) are
   handed to :func:`repro.synthesis.infer_constants.infer_constants`,
-* otherwise one open node is selected and expanded with
-  :func:`repro.synthesis.expand.expand`.
+* otherwise one open node is selected and expanded by the rules of
+  :mod:`repro.synthesis.expand`.
 
-Expansions go on the worklist unchecked.  The approximation check of Section
-4.1 runs when one reaches the top of the worklist, and an infeasible one is
-dropped there: each check is spent on a partial that the search would pop
-next, not on one that a cap or a found answer leaves on the worklist.  The
-partials expanded, and their order, are the same as when every expansion is
-checked before it is pushed.
+The worklist is lazy: an entry's work is done when it reaches the top.  An
+expansion is pushed unbuilt, keyed by the size it will have, and is built,
+deduplicated and put through the approximation check of Section 4.1 at the
+top; a symbolic partial is pushed as one stream of constant models, advanced
+one model at a time at the top.  The partials expanded, and their order, are
+those of the eager loop: duplicates share a size and the earliest copy has the
+smallest tick, and a partial's models share its size and consecutive ticks.
 """
 
 from __future__ import annotations
@@ -38,7 +39,10 @@ from repro.synthesis.approximate import APPROX_CACHE_STATS, infeasible
 from repro.synthesis.config import EngineVariant, SynthesisConfig
 from repro.synthesis.examples import Examples
 from repro.synthesis.encode import ENCODE_CACHE_STATS
-from repro.synthesis.expand import SymIntFactory, expand, initial_partial
+from repro.synthesis.expand import SymIntFactory, _expansions_of_label, initial_partial
+# Kept as a module attribute only because ``perfbench/tracing.py`` still wraps
+# ``engine.expand``; the engine builds each expansion in ``_settle``.
+from repro.synthesis.expand import expand  # noqa: F401
 from repro.synthesis.infer_constants import infer_constants
 from repro.synthesis.partial import (
     PartialRegex,
@@ -46,12 +50,13 @@ from repro.synthesis.partial import (
     is_symbolic,
     open_nodes,
     partial_size,
+    replace_node,
     to_regex,
 )
 
 
-#: Minimum wall-clock allowance for one symbolic-integer enumeration, even
-#: when the scheduler's slice deadline has already passed.
+#: Minimum wall-clock allowance for one resume of a symbolic-integer
+#: enumeration, even when the scheduler's slice deadline has already passed.
 _MIN_SYMBOLIC_SLICE = 0.05
 
 
@@ -114,11 +119,11 @@ class SynthesisRun:
         self._literal_chars = examples.literal_characters()
         self._symints = SymIntFactory()
         self._counter = count()
-        # Entries are (size, tick, checked, partial).  ``checked`` is False for
-        # an expansion not yet put through the approximation check; it lives
-        # in the entry, not on the node, because feasibility depends on this
-        # run's examples and interned nodes are shared across runs.
-        self._worklist: list[tuple[int, int, bool, PartialRegex]] = []
+        # Entries are (size, tick, partial, source): ``partial`` is None until
+        # the entry is settled, and ``source`` is an unbuilt expansion (parent,
+        # open node, subtree) or a model stream.  This lives in the entry, not
+        # on the interned node, which is shared by runs with other examples.
+        self._worklist: list[tuple] = []
         # Hash-consing makes structurally equal partials the same object, so
         # worklist dedup is a set of interned nodes (no string rendering).
         self._seen: set[PartialRegex] = set()
@@ -130,36 +135,45 @@ class SynthesisRun:
         self._rejected_contains: set[rast.Regex] = set()
         self._rejected_atleast: dict[rast.Regex, int] = {}
         self._done = False
-        self._push(initial_partial(sketch))
+        self._push(1, initial_partial(sketch))  # the root is one open node
 
     @property
     def done(self) -> bool:
         """True once the search is exhausted, solved, or hit its expansion cap."""
         return self._done
 
-    def _push(self, partial: PartialRegex, checked: bool = True) -> None:
-        heapq.heappush(
-            self._worklist, (partial_size(partial), next(self._counter), checked, partial)
-        )
+    def _push(self, size: int, partial: Optional[PartialRegex] = None, source=None) -> None:
+        heapq.heappush(self._worklist, (size, next(self._counter), partial, source))
 
     def _settle(self) -> bool:
-        """Make the worklist's top a checked, feasible entry; False when empty.
+        """Make the worklist's top a settled entry; False when empty.
 
-        Unchecked entries that reach the top are put through the approximation
-        check.  Infeasible ones are dropped and counted as pruned (neither as
-        an expansion nor against a slice); the first feasible one is marked
-        checked in place, which keeps the heap order, since its key is kept.
+        An expansion that reaches the top is built now.  A duplicate of one
+        built earlier is dropped (not counted as pruned), an infeasible one is
+        dropped and counted as pruned (neither as an expansion nor against a
+        slice).  A stream of constant models that reaches the top is advanced
+        by one candidate, and dropped when exhausted.  The settled top is
+        written back in place under its key, which keeps the heap order.
         """
         worklist = self._worklist
         while worklist:
-            size, tick, checked, partial = worklist[0]
-            if checked:
+            size, tick, partial, source = worklist[0]
+            if partial is not None:
                 return True
-            if not infeasible(partial, self.examples, self.config):
-                worklist[0] = (size, tick, True, partial)
+            if isinstance(source, tuple):
+                partial, source = replace_node(*source), None
+                keep = partial not in self._seen
+                self._seen.add(partial)
+                if keep and infeasible(partial, self.examples, self.config):
+                    self.result.pruned += 1
+                    keep = False
+            else:
+                partial = next(source, None)
+                keep = partial is not None
+            if keep:
+                worklist[0] = (size, tick, partial, source)
                 return True
             heapq.heappop(worklist)
-            self.result.pruned += 1
         return False
 
     def step(
@@ -176,7 +190,7 @@ class SynthesisRun:
         result = self.result
         examples = self.examples
         start = time.monotonic()
-        deadline = start + budget
+        deadline = self._deadline = start + budget
         slice_expansions = 0
         eval_hits_base, eval_misses_base = examples.eval_cache_stats()
         approx_hits_base = APPROX_CACHE_STATS.hits
@@ -195,7 +209,10 @@ class SynthesisRun:
                 break
             if max_expansions is not None and slice_expansions >= max_expansions:
                 break
-            partial = heapq.heappop(self._worklist)[3]
+            size, tick, partial, source = heapq.heappop(self._worklist)
+            if source is not None:
+                # A model stream goes back under its key for its next model.
+                heapq.heappush(self._worklist, (size, tick, None, source))
             result.expansions += 1
             slice_expansions += 1
 
@@ -210,24 +227,21 @@ class SynthesisRun:
 
             if is_symbolic(partial):
                 if config.use_symbolic_ints:
-                    # Bound the model enumeration by the slice deadline, but
-                    # always allow a small minimum so that very short slices
-                    # still discover the first (smallest) models.
-                    ic_deadline = max(deadline, time.monotonic() + _MIN_SYMBOLIC_SLICE)
-                    for candidate in infer_constants(
-                        partial, examples, config, self.solver, deadline=ic_deadline
-                    ):
-                        self._push(candidate)
+                    # Bound each resume of the stream by the slice deadline,
+                    # but always allow a small minimum so that very short
+                    # slices still discover the next (smallest) model.
+                    self._push(size, source=infer_constants(
+                        partial, examples, config, self.solver,
+                        deadline=lambda: max(self._deadline, time.monotonic() + _MIN_SYMBOLIC_SLICE)
+                    ))
                 # Without symbolic integers the expansion already enumerated
                 # concrete constants, so a symbolic partial regex cannot occur.
                 continue
 
             node = open_nodes(partial)[0]
-            for successor in expand(partial, node, config, self._symints, self._literal_chars):
-                if successor in self._seen:
-                    continue
-                self._seen.add(successor)
-                self._push(successor, checked=False)
+            subtrees = _expansions_of_label(node.label, config, self._symints, self._literal_chars)
+            for subtree in subtrees:
+                self._push(size - 1 + partial_size(subtree), source=(partial, node, subtree))
 
         if not self._worklist:
             self._done = True

@@ -4,7 +4,7 @@ Given a symbolic regex (no open nodes, at least one symbolic integer), the
 procedure enumerates candidate assignments to the symbolic integers using the
 length-constraint encoding of Figure 13 and the bounded-integer solver, and
 keeps only assignments whose (partially concretised) regexes survive the
-approximation-based feasibility check.  The returned concrete regexes still
+approximation-based feasibility check.  The yielded concrete regexes still
 have to be validated against the examples by the main loop — the constraint is
 an over-approximation, not a proof of consistency.
 
@@ -18,7 +18,7 @@ re-flattened, or re-decomposed per model.
 from __future__ import annotations
 
 import time
-from typing import List, Tuple
+from typing import Callable, Iterator, List, Tuple
 
 from repro.solver import Solver
 from repro.solver.solver import Literal
@@ -62,28 +62,31 @@ def infer_constants(
     examples: Examples,
     config: SynthesisConfig,
     solver: Solver | None = None,
-    deadline: float | None = None,
-) -> List[PartialRegex]:
-    """Enumerate feasible concretisations of a symbolic regex.
+    deadline: Callable[[], float] | None = None,
+) -> Iterator[PartialRegex]:
+    """Yield feasible concretisations of a symbolic regex.
 
     Mirrors Figure 14: a worklist of ``(symbolic regex, assumptions)`` pairs
     is made increasingly concrete one symbolic integer at a time; blocking
     clauses force the solver to produce different values for the chosen
     integer, and partially concretised regexes that the approximation check
-    refutes are dropped together with every extension.  ``deadline`` (a
-    ``time.monotonic`` timestamp) stops the enumeration early with whatever
-    has been found, so a scheduler's time slice bounds even this, the
+    refutes are dropped together with every extension.  The enumeration is
+    a generator, so no model is searched for before its caller asks for it.
+    ``deadline`` is called when the enumeration starts and each time it
+    resumes after a candidate; the ``time.monotonic`` timestamp it returns
+    bounds the solver calls until the next candidate, and once it has passed
+    the enumeration ends, so a scheduler's time slice bounds even this, the
     engine's most expensive single step.
     """
+    limit = deadline() if deadline else None
     solver = solver or Solver()
     formula, domains, kappas = constraint_for_examples(partial, examples, config)
     instance = solver.compile(formula, domains, shared=kappas)
-    results: List[PartialRegex] = []
     worklist: List[tuple[PartialRegex, Tuple[Literal, ...]]] = [(partial, ())]
     budget = config.max_models_per_symbolic
 
     while worklist and budget > 0:
-        if deadline is not None and time.monotonic() > deadline:
+        if limit is not None and time.monotonic() > limit:
             break
         current, assumptions = worklist.pop()
         current_kappas = symints_of(current)
@@ -91,7 +94,7 @@ def infer_constants(
             continue
         prefer = [kappa.name for kappa in current_kappas]
         try:
-            model = instance.solve(assumptions, prefer=prefer, deadline=deadline)
+            model = instance.solve(assumptions, prefer=prefer, deadline=limit)
         except RuntimeError:
             # Step or deadline budget exceeded: treat as UNSAT for this branch.
             continue
@@ -117,8 +120,8 @@ def infer_constants(
         if not _ints_valid(concretised):
             continue
         if is_concrete(concretised):
-            results.append(concretised)
+            yield concretised
+            limit = deadline() if deadline else None
             continue
         if not infeasible(concretised, examples, config):
             worklist.append((concretised, assumptions + ((kappa.name, "==", value),)))
-    return results

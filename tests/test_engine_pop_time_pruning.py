@@ -1,15 +1,19 @@
-"""Pop-time pruning: the approximation check runs when a partial is reached.
+"""The lazy agenda: an entry's work is done when it reaches the top.
 
 :class:`~repro.synthesis.engine.SynthesisRun` pushes the expansions of a
-partial unchecked and runs the Section 4.1 check on one when it reaches the
-top of the worklist.  Two properties are pinned here:
+partial unbuilt and builds, deduplicates and checks one (the Section 4.1
+approximation check) when it reaches the top of the worklist; a symbolic
+partial goes on as one stream of ``infer_constants`` models, advanced one
+model at a time at the top.  Two properties are pinned here:
 
-* **Same search.**  ``EagerRun``, the oracle, is the engine with the older
-  discipline: every expansion is checked before it is pushed, and only the
-  feasible ones go on the worklist.  Both runs must expand the same partials
-  in the same order, so they return the same ranked regexes with the same
-  per-sketch ``(expansions, solved, timed_out)``.  Pop-time pruning checks
-  only what the search reaches, so its ``pruned`` is at most the oracle's.
+* **Same search.**  ``EagerRun``, the oracle, is the engine with the eager
+  discipline: every expansion is built, deduplicated and checked before it
+  is pushed, only the feasible ones go on the worklist, and a symbolic
+  partial's models are all inferred when it is popped.  Both runs must expand
+  the same partials in the same order, so they return the same ranked regexes
+  with the same per-sketch ``(expansions, solved, timed_out)``.  The lazy run
+  checks and solves only what the search reaches, so its ``pruned`` and its
+  solver propagations are at most the oracle's.
 * **Check once.**  With ``engine.infeasible`` wrapped, no partial is checked
   twice in a run, every popped partial other than the initial one and the
   ``infer_constants`` candidates was checked before it was popped, and a run
@@ -31,6 +35,7 @@ from repro.synthesis import engine
 from repro.synthesis.config import EngineVariant, SynthesisConfig
 from repro.synthesis.examples import Examples
 from repro.synthesis.expand import initial_partial
+from repro.synthesis.partial import partial_size, replace_node
 
 SECTION2_SKETCH = (
     "Concat(Hole(RepeatRange(<num>,1,15)),Hole(Optional(Concat(<.>,RepeatRange(<num>,1,3)))))"
@@ -42,18 +47,31 @@ UNBOUNDED_SECONDS = 1.0e6
 
 
 class EagerRun(engine.SynthesisRun):
-    """The push-time discipline: check every expansion before it is pushed.
+    """The eager discipline: an entry's work is done when it is pushed.
 
-    Only expansions are pushed unchecked, so this prunes exactly the
-    candidates the older loop pruned, and every worklist entry is checked;
-    ``_settle`` then never runs the check and the loop is the older one.
+    An expansion is built, deduplicated and checked before it is pushed, and
+    only the feasible ones go on the worklist; a symbolic partial's model
+    stream is drained at once into entries with consecutive ticks.  Every
+    entry is pushed settled, so ``_settle`` does no work and the loop is the
+    one of Fig. 9.
     """
 
-    def _push(self, partial, checked=True):
-        if not checked and engine.infeasible(partial, self.examples, self.config):
-            self.result.pruned += 1
-            return
-        super()._push(partial)
+    def _push(self, size, partial=None, source=None):
+        if isinstance(source, tuple):
+            successor = replace_node(*source)
+            assert partial_size(successor) == size
+            if successor in self._seen:
+                return
+            self._seen.add(successor)
+            if engine.infeasible(successor, self.examples, self.config):
+                self.result.pruned += 1
+                return
+            super()._push(size, successor)
+        elif source is not None:
+            for candidate in source:
+                super()._push(size, candidate)
+        else:
+            super()._push(size, partial)
 
 
 @pytest.fixture
@@ -73,10 +91,7 @@ def _run_outcome(result):
 
 def _report_outcome(report):
     solutions = [solution.regex for solution in report.solutions]
-    work = [
-        (s.index, s.expansions, s.solved, s.timed_out, s.solver_propagations)
-        for s in report.sketches
-    ]
+    work = [(s.index, s.expansions, s.solved, s.timed_out) for s in report.sketches]
     return solutions, work
 
 
@@ -84,6 +99,7 @@ def _assert_same_search(lazy, eager):
     assert _report_outcome(lazy) == _report_outcome(eager)
     for lazy_sketch, eager_sketch in zip(lazy.sketches, eager.sketches):
         assert lazy_sketch.pruned <= eager_sketch.pruned
+        assert lazy_sketch.solver_propagations <= eager_sketch.solver_propagations
 
 
 def _synthesize(run_class, sketch, examples, config):
@@ -146,6 +162,43 @@ def test_resumed_turns_match_eager_oracle(eager):
     lazy = _solve_in_resumed_turns()
     eager()
     _assert_same_search(lazy, _solve_in_resumed_turns())
+
+
+def _stepped_one_pop_at_a_time(sketch, examples, config):
+    run = engine.Synthesizer(config).start(sketch, examples)
+    while not run.done:
+        result = run.step(config.timeout, max_expansions=1)
+    return result
+
+
+def _work(result):
+    return _run_outcome(result) + (result.pruned, result.solver_propagations)
+
+
+def test_section2_stepped_one_pop_at_a_time_matches_one_step():
+    """A settled top left on the worklist between steps is the next one popped."""
+    examples = Examples(SECTION2_POSITIVES, SECTION2_NEGATIVES)
+    config = SynthesisConfig(hole_depth=2, timeout=UNBOUNDED_SECONDS)
+    whole = _synthesize(engine.SynthesisRun, SECTION2_SKETCH, examples, config)
+    stepped = _stepped_one_pop_at_a_time(parse_sketch(SECTION2_SKETCH), examples, config)
+    assert whole.solved
+    assert _work(stepped) == _work(whole)
+
+
+def test_symbolic_panel_task_stepped_one_pop_at_a_time_matches_one_step(tasks):
+    """A model stream left on the worklist between steps resumes where it stopped.
+
+    ``stackoverflow-030`` is the panel task that infers the most models.
+    """
+    task = tasks["stackoverflow-030"]
+    examples = Examples(task.positive, task.negative)
+    config = SynthesisConfig(max_expansions=50, timeout=UNBOUNDED_SECONDS, max_results=3)
+    propagations = 0
+    for sketch in SemanticParser().sketches(task.description, k=25):
+        whole = engine.Synthesizer(config).start(sketch, examples).step(config.timeout)
+        assert _work(_stepped_one_pop_at_a_time(sketch, examples, config)) == _work(whole)
+        propagations += whole.solver_propagations
+    assert propagations > 0
 
 
 _LEAVES = ["<num>", "<let>", "<cap>", "<.>", "<->"]

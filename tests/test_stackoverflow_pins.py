@@ -20,6 +20,13 @@ budgets that never bind, so its outcome and its work are deterministic:
   regenerates the golden file with ``python tests/test_stackoverflow_pins.py``
   (from the repository root, with ``src`` on ``PYTHONPATH``), which first
   prints per task the fields that moved, and explains the diff.
+* The work pins bound, per panel task, the successors the engine builds
+  (``replace_node`` calls) and the models it searches for
+  (``SolverInstance.solve`` calls).  The lazy worklist builds a successor
+  and searches for a model only when it reaches the top: 17,296
+  ``replace_node`` and 594 solver calls on the panel, where building every
+  expansion and inferring every model of a popped partial takes 62,926 and
+  1,454.
 * The uncapped pins solve ``stackoverflow-030`` and ``-050`` for one
   answer with no expansion cap.  Rank-first turns give the top-ranked
   sketch as many pops as all the others together, and on these tasks it
@@ -28,7 +35,9 @@ budgets that never bind, so its outcome and its work are deterministic:
   10,817 and 13,231 expansions before the first answer.
 """
 
+import importlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -37,6 +46,8 @@ from repro.api import NlSketchProvider, Problem, RunReport, Session
 from repro.automata import compiler
 from repro.datasets import stackoverflow_dataset
 from repro.nlp.sketch_gen import SemanticParser
+from repro.solver.solver import SolverInstance
+from repro.synthesis import engine
 from repro.synthesis.config import SynthesisConfig
 
 #: Budget and engine timeout that never bind: the expansion cap ends every
@@ -48,6 +59,17 @@ K = 3
 
 PANEL_PIN = Path(__file__).parent / "fixtures" / "stackoverflow_panel_pin.json"
 PANEL = [f"stackoverflow-{index:03d}" for index in range(0, 62, 10)]
+#: Upper bounds on the work of each panel task: ``replace_node`` calls and
+#: ``SolverInstance.solve`` calls.
+PANEL_WORK = {
+    "stackoverflow-000": (3311, 16),
+    "stackoverflow-010": (1974, 0),
+    "stackoverflow-020": (1929, 380),
+    "stackoverflow-030": (4035, 50),
+    "stackoverflow-040": (2110, 8),
+    "stackoverflow-050": (2860, 0),
+    "stackoverflow-060": (1077, 140),
+}
 #: Upper bounds on the expansions to the first answer with no cap.
 UNCAPPED_FIRST_ANSWER = {"stackoverflow-030": 745, "stackoverflow-050": 628}
 
@@ -101,6 +123,27 @@ def test_panel_behaviour_and_work_are_pinned(task_id, tasks):
     assert observed["sketches"] == golden["sketches"]
     assert observed["eval_cache_misses"] <= golden["eval_cache_misses"]
     assert observed["solver_propagations"] <= golden["solver_propagations"]
+
+
+@pytest.mark.parametrize("task_id", PANEL)
+def test_panel_builds_only_what_it_reaches(task_id, tasks, monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    # ``repro.synthesis.expand`` is shadowed by the function of that name in
+    # the package namespace, so the module is looked up by its full name.
+    for module in (engine, importlib.import_module("repro.synthesis.expand")):
+        monkeypatch.setattr(module, "replace_node", counted("replace_node", module.replace_node))
+    monkeypatch.setattr(SolverInstance, "solve", counted("solve", SolverInstance.solve))
+    _solve(tasks[task_id])
+    assert calls["replace_node"] <= PANEL_WORK[task_id][0]
+    assert calls["solve"] <= PANEL_WORK[task_id][1]
 
 
 @pytest.mark.parametrize("task_id", sorted(UNCAPPED_FIRST_ANSWER))

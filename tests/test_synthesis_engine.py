@@ -8,7 +8,6 @@ from repro.dsl import (
     NUM,
     Optional,
     Repeat,
-    RepeatAtLeast,
     RepeatRange,
     literal,
     matches,
@@ -16,6 +15,7 @@ from repro.dsl import (
 )
 from repro.sketch import concrete, hole, parse_sketch
 from repro.solver import Solver
+from repro.solver.solver import SolverInstance
 from repro.synthesis import (
     EngineVariant,
     Examples,
@@ -90,10 +90,9 @@ class TestInferConstants:
         partial = POp("Repeat", (PLeaf(NUM),), (SymInt("k1"),))
         examples = Examples(["1234"], ["123"])
         config = SynthesisConfig()
-        candidates = infer_constants(partial, examples, config)
-        regexes = [c for c in candidates]
+        candidates = list(infer_constants(partial, examples, config))
         assert any(
-            examples.consistent(_to_regex(c)) for c in regexes
+            examples.consistent(_to_regex(c)) for c in candidates
         ), "expected Repeat(<num>,4) among the candidates"
 
     def test_prunes_against_negative_examples(self):
@@ -109,7 +108,7 @@ class TestInferConstants:
             ["1234567891234567"],
         )
         config = SynthesisConfig(max_kappa=20)
-        candidates = infer_constants(partial, examples, config)
+        candidates = list(infer_constants(partial, examples, config))
         consistent = [c for c in candidates if examples.consistent(_to_regex(c))]
         assert consistent, "expected a consistent completion with k1 = 15"
         assert any(_to_regex(c) == parse_regex(
@@ -127,7 +126,7 @@ class TestInferConstants:
         )
         examples = Examples(SECTION2_POSITIVES, SECTION2_NEGATIVES)
         start = time.perf_counter()
-        candidates = infer_constants(partial, examples, SynthesisConfig(hole_depth=2))
+        candidates = list(infer_constants(partial, examples, SynthesisConfig(hole_depth=2)))
         assert time.perf_counter() - start < SECONDS_CEILING
         assert len(candidates) == 7
 
@@ -155,9 +154,36 @@ class TestInferConstants:
         examples = Examples(["12-ab12", "12-abc1", "12-a123"], ["1-ab12", "12-123", "12-abcd"])
         config = SynthesisConfig(hole_depth=2, max_kappa=8, max_models_per_symbolic=8)
         start = time.perf_counter()
-        candidates = infer_constants(partial, examples, config)
+        candidates = list(infer_constants(partial, examples, config))
         assert time.perf_counter() - start < SECONDS_CEILING
         assert len(candidates) == 3
+
+
+    def test_first_candidate_needs_fewer_solves_than_all(self, monkeypatch):
+        """The enumeration is a generator: no model is searched for before it is asked for."""
+        solves = []
+        solve = SolverInstance.solve
+
+        def counted(instance, *args, **kwargs):
+            solves.append(args)
+            return solve(instance, *args, **kwargs)
+
+        monkeypatch.setattr(SolverInstance, "solve", counted)
+        partial = POp(
+            "Concat",
+            (
+                POp("RepeatRange", (PLeaf(NUM),), (1, SymInt("k1"))),
+                PLeaf(Optional(Concat(literal("."), RepeatRange(NUM, 1, 3)))),
+            ),
+        )
+        examples = Examples(SECTION2_POSITIVES, SECTION2_NEGATIVES)
+        config = SynthesisConfig(hole_depth=2)
+        first = next(infer_constants(partial, examples, config))
+        first_solves = len(solves)
+        del solves[:]
+        candidates = list(infer_constants(partial, examples, config))
+        assert candidates[0] is first
+        assert 0 < first_solves < len(solves)
 
 
 def _to_regex(partial):
