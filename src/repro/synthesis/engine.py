@@ -17,6 +17,12 @@ top; a symbolic partial is pushed as one stream of constant models, advanced
 one model at a time at the top.  The partials expanded, and their order, are
 those of the eager loop: duplicates share a size and the earliest copy has the
 smallest tick, and a partial's models share its size and consecutive ticks.
+
+A run derives each open node's label-level expansions once, keyed by the
+interned node.  Only Repeat-family templates are built again, with fresh
+symbolic-integer names in generation order, so every successor is the object
+it would be without the memo.  Names are never canonicalised, which would
+merge alpha-equivalent partials.
 """
 
 from __future__ import annotations
@@ -39,17 +45,17 @@ from repro.synthesis.approximate import APPROX_CACHE_STATS, infeasible
 from repro.synthesis.config import EngineVariant, SynthesisConfig
 from repro.synthesis.examples import Examples
 from repro.synthesis.encode import ENCODE_CACHE_STATS
-from repro.synthesis.expand import SymIntFactory, _expansions_of_label, initial_partial
+from repro.synthesis.expand import SymIntFactory, initial_partial, instantiate, label_expansions
 # Kept as a module attribute only because ``perfbench/tracing.py`` still wraps
 # ``engine.expand``; the engine builds each expansion in ``_settle``.
 from repro.synthesis.expand import expand  # noqa: F401
 from repro.synthesis.infer_constants import infer_constants
 from repro.synthesis.partial import (
     PartialRegex,
+    POpen,
     is_concrete,
     is_symbolic,
     open_nodes,
-    partial_size,
     replace_node,
     to_regex,
 )
@@ -127,6 +133,9 @@ class SynthesisRun:
         # Hash-consing makes structurally equal partials the same object, so
         # worklist dedup is a set of interned nodes (no string rendering).
         self._seen: set[PartialRegex] = set()
+        # The label-level expansions of each open node expanded so far, with
+        # their sizes.  Keyed by the interned node, which hashes by identity.
+        self._expansions: dict[POpen, list] = {}
         # Membership-rejection store for the Section 6 subsumption short-cuts,
         # restructured for O(1) checks: rejected regexes (interned nodes), the
         # arguments of rejected Contains nodes, and the per-argument minimum
@@ -146,7 +155,7 @@ class SynthesisRun:
         heapq.heappush(self._worklist, (size, next(self._counter), partial, source))
 
     def _settle(self) -> bool:
-        """Make the worklist's top a settled entry; False when empty.
+        """Make the worklist's top a settled entry; False when empty or late.
 
         An expansion that reaches the top is built now.  A duplicate of one
         built earlier is dropped (not counted as pruned), an infeasible one is
@@ -154,6 +163,9 @@ class SynthesisRun:
         slice).  A stream of constant models that reaches the top is advanced
         by one candidate, and dropped when exhausted.  The settled top is
         written back in place under its key, which keeps the heap order.
+        Past the slice deadline it stops after a dropped entry and returns
+        False with the top unsettled, so the step ends without popping and
+        the next step resumes here.
         """
         worklist = self._worklist
         while worklist:
@@ -174,6 +186,8 @@ class SynthesisRun:
                 worklist[0] = (size, tick, partial, source)
                 return True
             heapq.heappop(worklist)
+            if time.monotonic() > self._deadline:
+                return False
         return False
 
     def step(
@@ -239,9 +253,14 @@ class SynthesisRun:
                 continue
 
             node = open_nodes(partial)[0]
-            subtrees = _expansions_of_label(node.label, config, self._symints, self._literal_chars)
-            for subtree in subtrees:
-                self._push(size - 1 + partial_size(subtree), source=(partial, node, subtree))
+            expansions = self._expansions.get(node)
+            if expansions is None:
+                expansions = label_expansions(node.label, config, self._literal_chars)
+                self._expansions[node] = expansions
+            for subtree_size, subtree in expansions:
+                # A template gets fresh symbolic-integer names, in generation order.
+                subtree = instantiate(subtree, self._symints)
+                self._push(size - 1 + subtree_size, source=(partial, node, subtree))
 
         if not self._worklist:
             self._done = True

@@ -13,13 +13,16 @@ the inference rules of Figure 10:
 * rule 4 — ``Repeat``-family sketches expand into the operator with fresh
   symbolic integers (or explicit integer enumeration for the ablation
   variants).
+
+The rules depend only on the node's label: :func:`label_expansions` derives
+them once, and :func:`instantiate` names a template's symbolic integers each
+time one is built.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import count
-from typing import Iterable, List
+from typing import Iterable, List, NamedTuple, Union
 
 from repro.dsl import ast as rast
 from repro.sketch import ast as sast
@@ -32,6 +35,7 @@ from repro.synthesis.partial import (
     POp,
     POpen,
     SymInt,
+    partial_size,
     replace_node,
 )
 
@@ -74,13 +78,6 @@ def default_char_classes(literal_chars: str = "") -> list[rast.Regex]:
     move for keeping the constant space finite and matches how Regel's
     implementation seeds constants.
     """
-    return list(_default_char_classes(literal_chars))
-
-
-@lru_cache(maxsize=128)
-def _default_char_classes(literal_chars: str) -> tuple[rast.Regex, ...]:
-    # Cached per literal-character string: this runs for every free-position
-    # expansion, which is one of the engine's hottest loops.
     leaves: list[rast.Regex] = [
         rast.NUM,
         rast.LET,
@@ -99,7 +96,7 @@ def _default_char_classes(literal_chars: str) -> tuple[rast.Regex, ...]:
             continue
         seen.add(char)
         leaves.append(rast.literal(char))
-    return tuple(leaves)
+    return leaves
 
 
 def initial_partial(sketch: sast.Sketch) -> POpen:
@@ -115,26 +112,59 @@ def expand(
     literal_chars: str = "",
 ) -> List[PartialRegex]:
     """All one-step expansions of ``node`` inside ``partial``."""
-    subtrees = _expansions_of_label(node.label, config, symints, literal_chars)
-    return [replace_node(partial, node, subtree) for subtree in subtrees]
+    return [
+        replace_node(partial, node, instantiate(subtree, symints))
+        for _, subtree in label_expansions(node.label, config, literal_chars)
+    ]
 
 
 # ---------------------------------------------------------------------------
 # Label-level expansion
 # ---------------------------------------------------------------------------
 
-def _expansions_of_label(
-    label,
-    config: SynthesisConfig,
-    symints: SymIntFactory,
-    literal_chars: str,
-) -> List[PartialRegex]:
+class SymbolicTemplate(NamedTuple):
+    """A Repeat-family subtree whose unknown integers (``None``) are named
+    by :func:`instantiate`, afresh every time it is built."""
+
+    op: str
+    child: PartialRegex
+    ints: tuple[int | None, ...]
+
+
+Expansion = Union[PartialRegex, SymbolicTemplate]
+
+
+def instantiate(subtree: Expansion, symints: SymIntFactory) -> PartialRegex:
+    """The subtree of an expansion, with fresh names for a template's unknowns."""
+    if not isinstance(subtree, SymbolicTemplate):
+        return subtree
+    ints = tuple(value if value is not None else symints.fresh() for value in subtree.ints)
+    return POp(subtree.op, (subtree.child,), ints)
+
+
+def label_expansions(
+    label, config: SynthesisConfig, literal_chars: str = ""
+) -> List[tuple[int, Expansion]]:
+    """The one-level expansions of an open node's label, in generation order.
+
+    Each comes with the :func:`~repro.synthesis.partial.partial_size` of the
+    subtree it builds.  They depend on the label alone, so a caller may derive
+    them once per open node and :func:`instantiate` them at every expansion.
+    """
+    return [
+        (1 + partial_size(subtree.child) if isinstance(subtree, SymbolicTemplate)
+         else partial_size(subtree), subtree)
+        for subtree in _expansions_of_label(label, config, literal_chars)
+    ]
+
+
+def _expansions_of_label(label, config: SynthesisConfig, literal_chars: str) -> List[Expansion]:
     if isinstance(label, sast.ConcreteRegexSketch):
         return [PLeaf(label.regex)]
     if isinstance(label, sast.OpSketch):
         return [POp(label.op, tuple(POpen(arg) for arg in label.args))]
     if isinstance(label, sast.IntOpSketch):
-        return _int_op_expansions(label.op, POpen(label.arg), label.ints, config, symints)
+        return _int_op_expansions(label.op, POpen(label.arg), label.ints, config)
     if isinstance(label, sast.Hole):
         label = HoleLabel(label.components, config.hole_depth)
     if isinstance(label, HoleLabel) and not label.components:
@@ -142,9 +172,9 @@ def _expansions_of_label(
         # place, so it behaves exactly like a free position.
         label = FreeLabel((), label.depth)
     if isinstance(label, HoleLabel):
-        return _hole_expansions(label, config, symints)
+        return _hole_expansions(label, config)
     if isinstance(label, FreeLabel):
-        return _free_expansions(label, config, symints, literal_chars)
+        return _free_expansions(label, config, literal_chars)
     raise TypeError(f"unknown open-node label: {label!r}")
 
 
@@ -153,13 +183,11 @@ def _int_op_expansions(
     child: PartialRegex,
     ints: Iterable[int | None],
     config: SynthesisConfig,
-    symints: SymIntFactory,
-) -> List[PartialRegex]:
+) -> List[Expansion]:
     """Expansions of a Repeat-family operator (rule 4 / ablation enumeration)."""
     ints = tuple(ints)
     if config.use_symbolic_ints:
-        resolved = tuple(value if value is not None else symints.fresh() for value in ints)
-        return [POp(op, (child,), resolved)]
+        return [SymbolicTemplate(op, child, ints) if None in ints else POp(op, (child,), ints)]
     # Explicit enumeration of the unknown integer arguments.
     candidates: List[tuple[int, ...]] = [()]
     for position, value in enumerate(ints):
@@ -171,7 +199,7 @@ def _int_op_expansions(
             for concrete in range(1, config.max_enum_int + 1):
                 new_candidates.append(prefix + (concrete,))
         candidates = new_candidates
-    results = []
+    results: List[Expansion] = []
     for values in candidates:
         if op == "RepeatRange" and values[0] > values[1]:
             continue
@@ -179,11 +207,9 @@ def _int_op_expansions(
     return results
 
 
-def _hole_expansions(
-    label: HoleLabel, config: SynthesisConfig, symints: SymIntFactory
-) -> List[PartialRegex]:
+def _hole_expansions(label: HoleLabel, config: SynthesisConfig) -> List[Expansion]:
     """Rules 1 and 2 of Figure 10."""
-    results: List[PartialRegex] = []
+    results: List[Expansion] = []
     # Π1: fill the hole with one of the hint components.
     for component in label.components:
         results.append(POpen(component))
@@ -191,45 +217,37 @@ def _hole_expansions(
         return results
 
     child_hole = POpen(HoleLabel(label.components, label.depth - 1))
-    free = lambda: POpen(FreeLabel(label.components, label.depth - 1))  # noqa: E731
+    free = POpen(FreeLabel(label.components, label.depth - 1))
 
     # Π2: an operator without integer arguments; one argument keeps the
     # constrained hole, the others become free positions.
     for op, arity in _F_OPERATORS:
         for position in range(arity):
             children = tuple(
-                child_hole if index == position else free() for index in range(arity)
+                child_hole if index == position else free for index in range(arity)
             )
             results.append(POp(op, children))
 
     # Π3: a Repeat-family operator applied to the constrained hole.
-    for op, _ in _G_OPERATORS:
-        results.extend(
-            _int_op_expansions(op, POpen(HoleLabel(label.components, label.depth - 1)),
-                               (None,) * dict(_G_OPERATORS)[op], config, symints)
-        )
+    for op, num_ints in _G_OPERATORS:
+        results.extend(_int_op_expansions(op, child_hole, (None,) * num_ints, config))
     return results
 
 
 def _free_expansions(
-    label: FreeLabel,
-    config: SynthesisConfig,
-    symints: SymIntFactory,
-    literal_chars: str,
-) -> List[PartialRegex]:
+    label: FreeLabel, config: SynthesisConfig, literal_chars: str
+) -> List[Expansion]:
     """Expansions of a free (sibling) position: ``□^d(C ∪ components)``."""
-    results: List[PartialRegex] = []
+    results: List[Expansion] = []
     for leaf in default_char_classes(literal_chars):
         results.append(PLeaf(leaf))
     for component in label.components:
         results.append(POpen(component))
     if label.depth <= 1:
         return results
-    free_child = lambda: POpen(FreeLabel(label.components, label.depth - 1))  # noqa: E731
+    free_child = POpen(FreeLabel(label.components, label.depth - 1))
     for op, arity in _F_OPERATORS:
-        results.append(POp(op, tuple(free_child() for _ in range(arity))))
+        results.append(POp(op, (free_child,) * arity))
     for op, num_ints in _G_OPERATORS:
-        results.extend(
-            _int_op_expansions(op, free_child(), (None,) * num_ints, config, symints)
-        )
+        results.extend(_int_op_expansions(op, free_child, (None,) * num_ints, config))
     return results

@@ -70,3 +70,23 @@ class TestUnregisteredMutable:
     def test_function_local_containers_allowed(self, tmp_path):
         source = "def build():\n    cache = {}\n    return cache\n"
         assert _check_source(tmp_path, source) == []
+
+    def test_module_level_lru_cache_flagged(self, tmp_path):
+        source = (
+            "import functools\n"
+            "from functools import cache, lru_cache\n"
+            "@functools.lru_cache(maxsize=None)\ndef a(x):\n    return x\n"
+            "@lru_cache\ndef b(x):\n    return x\n"
+            "@cache\ndef c(x):\n    return x\n"
+        )
+        findings = _check_source(tmp_path, source)
+        assert [f[2] for f in findings] == ["unregistered-mutable"] * 3
+        assert [f[1] for f in findings] == [4, 7, 10]
+
+    def test_allowlisted_lru_cache_allowed(self, tmp_path):
+        source = (
+            "from functools import lru_cache\n"
+            "@lru_cache(maxsize=None)\ndef chars_of(kind):\n    return kind\n"
+        )
+        assert _check_source(tmp_path, source, relative="repro/dsl/charclass.py") == []
+        assert len(_check_source(tmp_path, source)) == 1

@@ -19,9 +19,16 @@ model at a time at the top.  Two properties are pinned here:
   ``infer_constants`` candidates was checked before it was popped, and a run
   makes at most ``expansions + pruned + 1`` checks (the one left over is a
   feasible top that the run stopped before popping).
+
+A run also derives each open node's label-level expansions once and keeps
+them; only the Repeat-family templates are built again at every expansion,
+with fresh symbolic integers.  ``FreshRun`` derives them anew at every pop;
+both runs must pop the same interned partials in the same order, allocate
+the same symbolic-integer names and return the same result.
 """
 
 from collections import defaultdict
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,6 +63,11 @@ class EagerRun(engine.SynthesisRun):
     one of Fig. 9.
     """
 
+    def _settle(self):
+        top = self._worklist[0] if self._worklist else None
+        assert top is None or top[2] is not None, "the eager oracle left work to _settle"
+        return super()._settle()
+
     def _push(self, size, partial=None, source=None):
         if isinstance(source, tuple):
             successor = replace_node(*source)
@@ -72,6 +84,21 @@ class EagerRun(engine.SynthesisRun):
                 super()._push(size, candidate)
         else:
             super()._push(size, partial)
+
+
+class _Forgetful(dict):
+    """A memo that keeps nothing, so every lookup misses."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+class FreshRun(engine.SynthesisRun):
+    """The engine without its expansion memo: every pop derives anew."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._expansions = _Forgetful()
 
 
 @pytest.fixture
@@ -261,6 +288,7 @@ class CheckLog:
         self.checked = defaultdict(list)
         self.exempt = defaultdict(set)
         self.unchecked_pops = defaultdict(list)
+        self.pops = defaultdict(list)
         self.candidate_pops = 0
         step = engine.SynthesisRun.step
         infeasible = engine.infeasible
@@ -289,6 +317,7 @@ class CheckLog:
         def logged_is_concrete(partial):
             # The loop asks this of every partial it pops, once.
             run = self.run
+            self.pops[run].append(partial)
             if partial not in self.checked[run]:
                 if partial not in self.exempt[run]:
                     self.unchecked_pops[run].append(partial)
@@ -308,6 +337,14 @@ class CheckLog:
             assert len(checked) == len(set(checked)), "a partial was checked twice"
             assert not self.unchecked_pops[run], "a partial was popped unchecked"
             assert len(checked) <= run.result.expansions + run.result.pruned + 1
+
+    def assert_same_pops(self, memoised, fresh):
+        """Same partials popped, by identity, and the same names allocated."""
+        for run, oracle in zip(memoised, fresh, strict=True):
+            assert type(oracle) is FreshRun and type(run) is not FreshRun
+            assert len(self.pops[run]) == len(self.pops[oracle])
+            assert all(a is b for a, b in zip(self.pops[run], self.pops[oracle]))
+            assert run._symints.fresh() == oracle._symints.fresh()
 
 
 def test_section2_checks_each_reached_partial_once(monkeypatch):
@@ -335,3 +372,55 @@ def test_resumed_turns_check_each_reached_partial_once(monkeypatch):
     log = CheckLog(monkeypatch)
     _solve_in_resumed_turns()
     log.assert_checked_once()
+
+
+def _search(result):
+    """A result without the timings and the counters of shared caches."""
+    return replace(
+        result, elapsed=0.0, eval_cache_hits=0, approx_cache_hits=0, encode_cache_hits=0
+    )
+
+
+def _memo_and_fresh(sketch, positive, negative, config, monkeypatch):
+    log = CheckLog(monkeypatch)
+    results = [
+        _synthesize(run_class, sketch, Examples(positive, negative), config)
+        for run_class in (engine.SynthesisRun, FreshRun)
+    ]
+    memoised, fresh = log.runs
+    log.assert_same_pops([memoised], [fresh])
+    assert _search(results[0]) == _search(results[1])
+    return results[0]
+
+
+@pytest.mark.parametrize("use_symbolic_ints", [True, False])
+def test_section2_memo_matches_fresh_derivation(use_symbolic_ints, monkeypatch):
+    config = SynthesisConfig(
+        hole_depth=2, timeout=UNBOUNDED_SECONDS, use_symbolic_ints=use_symbolic_ints
+    )
+    result = _memo_and_fresh(
+        SECTION2_SKETCH, SECTION2_POSITIVES, SECTION2_NEGATIVES, config, monkeypatch
+    )
+    assert result.solved
+
+
+@pytest.mark.parametrize("task_id", PANEL)
+def test_panel_memo_matches_fresh_derivation(task_id, tasks, monkeypatch):
+    log = CheckLog(monkeypatch)
+    memoised = _solve_panel_task(tasks[task_id])
+    attempted = len(log.runs)
+    monkeypatch.setattr(engine, "SynthesisRun", FreshRun)
+    fresh = _solve_panel_task(tasks[task_id])
+    log.assert_same_pops(log.runs[:attempted], log.runs[attempted:])
+    assert _report_outcome(memoised) == _report_outcome(fresh)
+    for memo_sketch, fresh_sketch in zip(memoised.sketches, fresh.sketches):
+        assert memo_sketch.pruned == fresh_sketch.pruned
+        assert memo_sketch.solver_propagations == fresh_sketch.solver_propagations
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=_problems())
+def test_small_sketches_memo_matches_fresh_derivation(problem):
+    sketch, examples, config = problem
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _memo_and_fresh(sketch, examples.positive, examples.negative, config, monkeypatch)

@@ -21,12 +21,14 @@ budgets that never bind, so its outcome and its work are deterministic:
   (from the repository root, with ``src`` on ``PYTHONPATH``), which first
   prints per task the fields that moved, and explains the diff.
 * The work pins bound, per panel task, the successors the engine builds
-  (``replace_node`` calls) and the models it searches for
-  (``SolverInstance.solve`` calls).  The lazy worklist builds a successor
-  and searches for a model only when it reaches the top: 17,296
+  (``replace_node`` calls), the models it searches for
+  (``SolverInstance.solve`` calls) and the open nodes whose expansions it
+  derives (``label_expansions`` calls).  The lazy worklist builds a
+  successor and searches for a model only when it reaches the top: 17,296
   ``replace_node`` and 594 solver calls on the panel, where building every
   expansion and inferring every model of a popped partial takes 62,926 and
-  1,454.
+  1,454.  A run derives each open node's expansions once: 913 derivations on
+  the panel, where deriving them at every pop takes 7,099.
 * The uncapped pins solve ``stackoverflow-030`` and ``-050`` for one
   answer with no expansion cap.  Rank-first turns give the top-ranked
   sketch as many pops as all the others together, and on these tasks it
@@ -59,16 +61,16 @@ K = 3
 
 PANEL_PIN = Path(__file__).parent / "fixtures" / "stackoverflow_panel_pin.json"
 PANEL = [f"stackoverflow-{index:03d}" for index in range(0, 62, 10)]
-#: Upper bounds on the work of each panel task: ``replace_node`` calls and
-#: ``SolverInstance.solve`` calls.
+#: Upper bounds on the work of each panel task: ``replace_node``,
+#: ``SolverInstance.solve`` and ``label_expansions`` calls.
 PANEL_WORK = {
-    "stackoverflow-000": (3311, 16),
-    "stackoverflow-010": (1974, 0),
-    "stackoverflow-020": (1929, 380),
-    "stackoverflow-030": (4035, 50),
-    "stackoverflow-040": (2110, 8),
-    "stackoverflow-050": (2860, 0),
-    "stackoverflow-060": (1077, 140),
+    "stackoverflow-000": (3311, 16, 121),
+    "stackoverflow-010": (1974, 0, 166),
+    "stackoverflow-020": (1929, 380, 102),
+    "stackoverflow-030": (4035, 50, 145),
+    "stackoverflow-040": (2110, 8, 126),
+    "stackoverflow-050": (2860, 0, 145),
+    "stackoverflow-060": (1077, 140, 108),
 }
 #: Upper bounds on the expansions to the first answer with no cap.
 UNCAPPED_FIRST_ANSWER = {"stackoverflow-030": 745, "stackoverflow-050": 628}
@@ -141,9 +143,13 @@ def test_panel_builds_only_what_it_reaches(task_id, tasks, monkeypatch):
     for module in (engine, importlib.import_module("repro.synthesis.expand")):
         monkeypatch.setattr(module, "replace_node", counted("replace_node", module.replace_node))
     monkeypatch.setattr(SolverInstance, "solve", counted("solve", SolverInstance.solve))
+    monkeypatch.setattr(
+        engine, "label_expansions", counted("label_expansions", engine.label_expansions)
+    )
     _solve(tasks[task_id])
     assert calls["replace_node"] <= PANEL_WORK[task_id][0]
     assert calls["solve"] <= PANEL_WORK[task_id][1]
+    assert calls["label_expansions"] <= PANEL_WORK[task_id][2]
 
 
 @pytest.mark.parametrize("task_id", sorted(UNCAPPED_FIRST_ANSWER))

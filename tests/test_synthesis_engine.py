@@ -25,6 +25,7 @@ from repro.synthesis import (
     SynthesisConfig,
     constraint_for_examples,
     infer_constants,
+    engine,
     synthesize,
 )
 from repro.solver.terms import substitute, var_names
@@ -251,6 +252,30 @@ class TestSynthesizer:
         config = SynthesisConfig(hole_depth=4, timeout=0.2)
         result = synthesize(hole(), ["aa1", "bb2"], ["zzz9"], config=config)
         assert result.elapsed < 5.0
+
+    def test_settling_stops_at_the_slice_deadline(self, monkeypatch):
+        """Dropping entries at the top of the worklist is bounded by the budget.
+
+        Every approximation check here sleeps and fails, so each of the 20
+        successors of the root is dropped when it reaches the top.  Without a
+        deadline in ``_settle``, one step would drop all of them (1 s of
+        checks) on its 0.01 s budget; with it, the step ends after the first
+        and the next step resumes with the second.
+        """
+
+        def slow_infeasible(partial, examples, config):
+            time.sleep(0.05)
+            return True
+
+        monkeypatch.setattr(engine, "infeasible", slow_infeasible)
+        run = engine.Synthesizer(SynthesisConfig(hole_depth=2)).start(
+            hole(), Examples(["aa1"], ["zz9"])
+        )
+        start = time.perf_counter()
+        result = run.step(0.01)
+        assert time.perf_counter() - start < 0.5
+        assert (result.expansions, result.pruned, run.done) == (1, 1, False)
+        assert run.step(0.01).pruned == 2
 
     def test_variants_produce_same_answer_on_easy_problem(self):
         sketch = parse_sketch("Repeat(Hole(<num>),?)")

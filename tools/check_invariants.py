@@ -23,7 +23,9 @@ is a property of *all* source files at once:
     a container born empty exists to be filled at runtime, i.e. it is a
     cache — that bypass the registry.  Literal tables built in full at
     import time (operator maps, lexicons, ``__all__``) are read-only by
-    convention and are not flagged.
+    convention and are not flagged.  A module-level function decorated with
+    ``functools.lru_cache`` or ``functools.cache`` is flagged too: its memo is
+    a process-global container outside the registry.
 """
 
 from __future__ import annotations
@@ -50,11 +52,17 @@ SETATTR_ALLOWED = {
     "repro/analysis/analyzer.py",
 }
 
-#: Module-level empty containers exempt from the registry requirement.
-#: Key is the path relative to ``src/``, values are the binding names.
+#: Module-level empty containers and memoised functions exempt from the
+#: registry requirement.  Key is the path relative to ``src/``, values are the
+#: binding names.
 MUTABLE_ALLOWED = {
     "repro/caches.py": {"_REGISTRY"},  # the registry itself, locked on write
+    # One entry per character class or literal character: a bounded domain.
+    "repro/dsl/charclass.py": {"chars_of"},
 }
+
+#: Decorators that give a function a process-global memo.
+MEMO_DECORATORS = {"lru_cache", "cache"}
 
 MUTABLE_CONSTRUCTORS = {
     "dict",
@@ -97,6 +105,19 @@ def _is_empty_mutable_value(node: ast.expr) -> bool:
         name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
         return name in MUTABLE_CONSTRUCTORS
     return False
+
+
+def _is_memo_decorator(node: ast.expr) -> bool:
+    """True for ``@lru_cache``, ``@functools.cache``, ``@lru_cache(maxsize=8)``, ..."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return (
+            node.attr in MEMO_DECORATORS
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "functools"
+        )
+    return isinstance(node, ast.Name) and node.id in MEMO_DECORATORS
 
 
 def _module_level_bindings(tree: ast.Module) -> Iterator[Tuple[str, ast.expr, int]]:
@@ -152,6 +173,23 @@ def check_file(path: Path, relative: "str | None" = None) -> List[Finding]:
                     f"module-level mutable binding {name!r} is shared across "
                     "worker threads; register it via caches.register_cache "
                     "or add it to the allowlist with a written justification",
+                )
+            )
+    for stmt in tree.body:
+        if (
+            isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and stmt.name not in allowed_names
+            and any(_is_memo_decorator(decorator) for decorator in stmt.decorator_list)
+        ):
+            findings.append(
+                (
+                    relative,
+                    stmt.lineno,
+                    "unregistered-mutable",
+                    f"module-level memoised function {stmt.name!r} keeps a "
+                    "process-global cache shared across worker threads; keep "
+                    "the memo on a per-run object or add it to the allowlist "
+                    "with a written justification",
                 )
             )
     return findings
