@@ -36,7 +36,6 @@ import json
 import os
 import sys
 from collections import Counter
-from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 from repro.api import (
@@ -346,12 +345,7 @@ def _run_batch(args: argparse.Namespace) -> int:
         BatchRecord,
     )
 
-    record: Optional[BatchRecord] = None
-    if args.record:
-        if os.path.exists(args.record):
-            record = BatchRecord.load(args.record)
-        else:
-            record = BatchRecord(path=Path(args.record))
+    record = BatchRecord.open(args.record, create=True) if args.record else None
     session = _make_session(args)
     counts: Counter = Counter()
     for index, raw in enumerate(_iter_problem_lines(args.input)):
@@ -373,7 +367,6 @@ def _run_batch(args: argparse.Namespace) -> int:
                     while len(record) < index:
                         record.append_item(ITEM_FAILED, error="skipped by --resume")
                     record.append_item(status, **extra)
-                record.save()
 
         try:
             problem = Problem.from_dict(json.loads(raw))

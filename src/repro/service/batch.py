@@ -3,9 +3,8 @@
 A *batch* is an ordered sequence of Problems identified by their position in
 the submitted NDJSON stream.  The :class:`BatchRecord` tracks one status per
 item — ``queued → solved | unsolved | failed``, or ``cached`` when the
-result cache short-circuits the solve entirely — and persists itself as a
-JSON file after every transition, so ingestion survives both client and
-server restarts:
+result cache short-circuits the solve entirely — and persists every
+transition itself, so ingestion survives both client and server restarts:
 
 * a client killed mid-upload re-POSTs the same NDJSON against the same batch
   id; every index the record already knows is skipped (``resume``),
@@ -17,17 +16,16 @@ The same record format backs the ``regel batch --record`` CLI path, so a
 local run and a service run of one corpus file produce interchangeable
 artifacts.
 
-Persistence is belt *and* braces.  The snapshot file is written atomically
-(write-then-rename), and every item transition is first appended to a
-sidecar **journal** (``<batch_id>.journal``, one JSON object per line with a
-monotonic ``seq``).  The snapshot records the highest journal ``seq`` it
-contains, so :meth:`BatchRecord.load` replays only the journal suffix the
-snapshot missed — and when the snapshot itself is torn, truncated, or gone,
-the whole record is rebuilt from the journal.  A torn *trailing* journal
-line (the one a crash interrupted) is skipped; everything before it is
-intact because lines are append-only.  The ``batch.persist`` /
-``batch.load`` fault points (:mod:`repro.faults`) let the chaos suite kill
-these writes mid-flight and assert the reopen is clean.
+Each transition is persisted by one append to a sidecar **journal**
+(``<batch_id>.journal``, one JSON object per line with a monotonic ``seq``).
+The record alone decides when to write its atomic (write-then-rename) JSON
+**snapshot**: as a compaction, once the journal entries since the last
+snapshot outnumber the items, and as the fallback when an append fails.
+:meth:`BatchRecord.load` replays the journal suffix the snapshot missed, or
+the whole journal when the snapshot is torn or gone.  An undecodable journal
+line (an append a crash interrupted) is skipped, and the next append starts
+on a fresh line.  The ``batch.persist`` / ``batch.load`` fault points
+(:mod:`repro.faults`) let the chaos suite kill these writes mid-flight.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ import threading
 import time
 import uuid
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.faults import fault_point
 
@@ -69,29 +67,26 @@ def _journal_path(path: Path) -> Path:
     return path.with_suffix(".journal")
 
 
-def _read_journal(path: Path) -> List[Dict[str, Any]]:
-    """Parse journal entries in order; a torn trailing line ends the read.
+def _read_journal(path: Path) -> Tuple[List[Dict[str, Any]], bool]:
+    """Parse journal entries in order, and tell whether the file ends mid-line.
 
-    Append-only writing means corruption can only live at the tail (the line
-    a crash interrupted), so stopping at the first undecodable line keeps
-    every completed entry.
+    An undecodable line is an append a crash (or an injected fault)
+    interrupted; it is skipped.  The next append starts on a fresh line, so
+    every entry after a torn line is intact and still read.
     """
     try:
         text = path.read_text(encoding="utf-8")
     except OSError:
-        return []
+        return [], False
     entries: List[Dict[str, Any]] = []
     for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
         try:
             entry = json.loads(line)
-        except ValueError:
-            break
+        except ValueError:  # torn, or blank
+            continue
         if isinstance(entry, dict) and isinstance(entry.get("seq"), int):
             entries.append(entry)
-    return entries
+    return entries, bool(text) and not text.endswith("\n")
 
 
 class BatchRecord:
@@ -111,8 +106,12 @@ class BatchRecord:
         self.live: set[int] = set()
         #: Highest journal sequence number written (or replayed) so far.
         self.journal_seq = 0
-        #: Journal / snapshot writes absorbed after backend failure.
-        self.journal_errors = 0
+        #: ``journal_seq`` the last snapshot on disk holds.
+        self._snapshot_seq = 0
+        #: The journal may end in a torn line (found on load, or left by a
+        #: failed append): the next append starts on a fresh line.
+        self._torn_tail = False
+        #: Journal appends and snapshot writes absorbed after a failure.
         self.persist_errors = 0
         #: True when :meth:`load` had to replay the journal (snapshot stale,
         #: torn, or missing) — surfaced via :class:`BatchStore` stats.
@@ -121,33 +120,37 @@ class BatchRecord:
 
     # -- mutation ------------------------------------------------------------
 
-    def _journal_write(self, index: int, item: Dict[str, Any]) -> None:
-        """Append one write-ahead entry (caller holds ``self._lock``).
+    def _persist(self, index: int, item: Dict[str, Any]) -> None:
+        """Append one journal entry (caller holds ``self._lock``).
 
-        Runs *before* the snapshot save, so any transition the snapshot
-        loses to a crash is still recoverable.  Journal failures are counted
-        and absorbed: the snapshot path is still there, and the record must
-        never fail an ingest over its own bookkeeping.
+        Compacting only when the journal outgrows the snapshot keeps snapshot
+        bytes proportional to journal bytes.  Failures are absorbed: the
+        record must never fail an ingest over its own bookkeeping.
         """
         if self.path is None:
             return
         journal = _journal_path(Path(self.path))
         self.journal_seq += 1
-        lines = ""
+        lines = "\n" if self._torn_tail else ""
         if self.journal_seq == 1 and not journal.exists():
             lines += json.dumps({"seq": 0, "batch_id": self.batch_id}) + "\n"
-        lines += (
-            json.dumps(
-                {"seq": self.journal_seq, "index": index, "item": item},
-                sort_keys=True,
-            )
-            + "\n"
-        )
+        entry = {"seq": self.journal_seq, "index": index, "item": item}
+        lines += json.dumps(entry, sort_keys=True) + "\n"
+        cut = len(lines) // 2
         try:
             with open(journal, "a", encoding="utf-8") as handle:
-                handle.write(lines)
+                handle.write(lines[:cut])
+                # A fault here is a crash mid-append: it leaves a torn line.
+                fault_point("batch.persist")
+                handle.write(lines[cut:])
         except OSError:
-            self.journal_errors += 1
+            self.persist_errors += 1
+            self._torn_tail = True
+            self.save()
+            return
+        self._torn_tail = False
+        if self.journal_seq - self._snapshot_seq > len(self.items):
+            self.save()
 
     def append_item(self, status: str, cache_key: str = "", **extra: Any) -> int:
         """Add the next item; returns its index."""
@@ -156,7 +159,7 @@ class BatchRecord:
             item = {"index": index, "status": status, "cache_key": cache_key}
             item.update({k: v for k, v in extra.items() if v is not None})
             self.items.append(item)
-            self._journal_write(index, dict(item))
+            self._persist(index, dict(item))
             self.updated = time.time()
             return index
 
@@ -167,7 +170,7 @@ class BatchRecord:
             item.update({k: v for k, v in extra.items() if v is not None})
             if status in TERMINAL_ITEM_STATUSES:
                 self.live.discard(index)
-            self._journal_write(index, dict(item))
+            self._persist(index, dict(item))
             self.updated = time.time()
 
     def mark_live(self, index: int) -> None:
@@ -246,18 +249,27 @@ class BatchRecord:
                 "items": [dict(item) for item in self.items],
             }
 
-    def save(self, path: Optional[Path] = None) -> None:
+    def save(self) -> None:
         """Snapshot to disk; failures are absorbed (the journal has the data)."""
-        target = path or self.path
-        if target is None:
+        if self.path is None:
             return
         with self._lock:
-            payload = self.to_dict()
-        try:
-            _atomic_write(Path(target), payload)
-        except OSError:
-            with self._lock:
+            try:
+                _atomic_write(Path(self.path), self.to_dict())
+            except OSError:
                 self.persist_errors += 1
+            else:
+                self._snapshot_seq = self.journal_seq
+
+    @classmethod
+    def open(cls, path: "Path | str", create: bool = False) -> Optional["BatchRecord"]:
+        """The record at ``path``, loaded when a snapshot or a journal exists
+        there (a journal alone is a whole record); otherwise a fresh record
+        bound to ``path`` if ``create``, else None."""
+        path = Path(path)
+        if path.is_file() or _journal_path(path).is_file():
+            return cls.load(path)
+        return cls(path=path) if create else None
 
     @classmethod
     def load(cls, path: "Path | str") -> "BatchRecord":
@@ -270,8 +282,7 @@ class BatchRecord:
         """
         path = Path(path)
         fault_point("batch.load")
-        record: Optional["BatchRecord"] = None
-        error: Optional[Exception] = None
+        entries, torn_tail = _read_journal(_journal_path(path))
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
             record = cls(batch_id=data["batch_id"], path=path)
@@ -280,22 +291,18 @@ class BatchRecord:
             record.items = [dict(item) for item in data.get("items", [])]
             seq = data.get("journal_seq", 0)
             record.journal_seq = seq if isinstance(seq, int) else 0
-        except (ValueError, OSError, KeyError, TypeError) as exc:
-            record, error = None, exc
-
-        entries = _read_journal(_journal_path(path))
-        if record is None:
+            record._snapshot_seq = record.journal_seq
+        except (ValueError, OSError, KeyError, TypeError):
             if not entries:
-                raise error if error is not None else ValueError(f"no record at {path}")
-            batch_id = path.stem
-            for entry in entries:
-                if entry["seq"] == 0 and isinstance(entry.get("batch_id"), str):
-                    batch_id = entry["batch_id"]
-                    break
+                raise
+            batch_id = next(
+                (e["batch_id"] for e in entries if isinstance(e.get("batch_id"), str)),
+                path.stem,
+            )
             record = cls(batch_id=batch_id, path=path)
             record.recovered = True
+        record._torn_tail = torn_tail
 
-        replayed = 0
         for entry in entries:
             seq = entry["seq"]
             if seq <= record.journal_seq:
@@ -307,15 +314,10 @@ class BatchRecord:
             # Each entry carries the item's full state, so later-wins replay
             # is just assignment; gaps (from absorbed journal errors) only
             # need queued placeholders to keep list position == index.
-            while len(record.items) <= index:
-                filler = len(record.items)
-                record.items.append(
-                    {"index": filler, "status": ITEM_QUEUED, "cache_key": ""}
-                )
+            for filler in range(len(record.items), index + 1):
+                record.items.append({"index": filler, "status": ITEM_QUEUED, "cache_key": ""})
             record.items[index] = dict(item)
-            record.journal_seq = max(record.journal_seq, seq)
-            replayed += 1
-        if replayed:
+            record.journal_seq = seq
             record.recovered = True
         return record
 
@@ -354,16 +356,13 @@ class BatchStore:
             record = self._records.get(batch_id)
         if record is not None:
             return record
-        path = self._path_for(batch_id)
-        # A journal without its snapshot (crash between journal append and
-        # first save) is still a loadable record.
-        if not path.is_file() and not _journal_path(path).is_file():
-            return None
         try:
-            record = BatchRecord.load(path)
+            record = BatchRecord.open(self._path_for(batch_id))
         except (ValueError, OSError, KeyError, TypeError):
             with self._lock:
                 self.load_errors += 1
+            return None
+        if record is None:
             return None
         with self._lock:
             if record.recovered:

@@ -407,7 +407,6 @@ class ServiceState:
         if report and report.get("solutions"):
             regex = report["solutions"][0].get("regex")
         record.update_item(index, status, regex=regex, error=error)
-        record.save()
 
     def _on_batch_job(self, record: BatchRecord, index: int, job: Job) -> None:
         """Terminal-job hook persisting the batch item's outcome."""
@@ -421,7 +420,6 @@ class ServiceState:
             )
         else:  # cancelled (e.g. shutdown): stays queued so a resume re-ingests
             record.release(index)
-            record.save()
 
     def _ingest_line(self, record: BatchRecord, index: int, raw: str) -> str:
         """Validate + route one NDJSON line; returns the item's initial status.
@@ -516,7 +514,6 @@ class ServiceState:
                 continue
             statuses.append(self._ingest_line(record, index, raw))
             ingested += 1
-        record.save()
         payload = record.summary()
         payload["schema"] = WIRE_SCHEMA
         payload["ingested"] = ingested

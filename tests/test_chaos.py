@@ -226,6 +226,37 @@ class TestBatchJournalRecovery:
         reloaded = BatchRecord.load(record.path)
         assert len(reloaded.items) == 3
 
+    def test_appends_after_a_torn_line_are_not_lost(self, tmp_path):
+        store = BatchStore(tmp_path / "batches")
+        record = store.create()
+        record.append_item("queued", cache_key="k0")
+        record.append_item("queued", cache_key="k1")
+        with open(_journal_path(record.path), "a", encoding="utf-8") as handle:
+            handle.write('{"seq": 3, "index"')  # the line a crash interrupted
+        reopened = BatchRecord.load(record.path)
+        reopened.update_item(0, "solved", regex="Repeat(<num>,3)")
+        reopened.update_item(1, "solved", regex="<num>")
+        loaded = BatchRecord.load(record.path)
+        assert [item["status"] for item in loaded.items] == ["solved", "solved"]
+        record.path.unlink()  # the journal alone holds both transitions
+        loaded = BatchRecord.load(record.path)
+        assert [item["status"] for item in loaded.items] == ["solved", "solved"]
+
+    def test_failed_append_is_backed_by_a_fallback_snapshot(self, tmp_path):
+        record = self._record_with_history(tmp_path)
+        faults.configure("batch.persist:nth=1")
+        record.update_item(0, "failed", error="x")  # the append dies mid-line
+        faults.configure(None)
+        assert record.persist_errors == 1
+        loaded = BatchRecord.load(record.path)
+        assert [item["status"] for item in loaded.items] == ["failed", "cached"]
+        # The next append starts on a fresh line after the torn one.
+        record.update_item(1, "unsolved")
+        record.path.unlink()
+        loaded = BatchRecord.load(record.path)
+        # The failed transition lived only in the (now deleted) snapshot.
+        assert [item["status"] for item in loaded.items] == ["solved", "unsolved"]
+
     def test_unusable_snapshot_and_journal_is_a_clean_404(self, tmp_path):
         store = BatchStore(tmp_path / "batches")
         record = store.create()

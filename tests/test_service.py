@@ -744,6 +744,52 @@ class TestBatchStore:
         assert store.get("f" * 32) is None
 
 
+class TestBatchPersistenceWork:
+    def test_snapshot_bytes_stay_proportional_to_journal_bytes(
+        self, tmp_path, monkeypatch
+    ):
+        # A 2,000-item batch at the service's rate: one POST appends every
+        # item, then every item settles.  Work is counted in bytes written,
+        # not seconds: rewriting the snapshot per transition is O(n^2).
+        from repro.service import batch
+        from repro.service.batch import ITEM_SOLVED, BatchRecord
+
+        written = {"snapshot": 0, "saves": 0}
+        atomic_write, save = batch._atomic_write, BatchRecord.save
+
+        def counting_write(path, payload):
+            atomic_write(path, payload)
+            written["snapshot"] += path.stat().st_size
+
+        def counting_save(self):
+            written["saves"] += 1
+            save(self)
+
+        monkeypatch.setattr(batch, "_atomic_write", counting_write)
+        monkeypatch.setattr(BatchRecord, "save", counting_save)
+        config = ServiceConfig(
+            port=0,
+            workers=1,
+            cache_path=str(tmp_path / "cache"),
+            batch_dir=str(tmp_path / "batches"),
+        )
+        state = ServiceState(config)
+        try:
+            items = 2000
+            status, payload = state.handle_batch_submit(b"{not json\n" * items)
+            assert status == 202 and payload["total"] == items
+            record = state.batches.get(payload["batch_id"])
+            report = {"solved": True, "solutions": [{"regex": "<num>"}]}
+            for index in range(items):
+                state._settle_batch_item(record, index, ITEM_SOLVED, report)
+        finally:
+            state.close()
+        journal = batch._journal_path(record.path).stat().st_size
+        assert written["snapshot"] <= 2 * journal
+        assert written["saves"] <= 4  # create + O(1) compactions, not per item
+        assert BatchRecord.load(record.path).counts()[ITEM_SOLVED] == items
+
+
 # ---------------------------------------------------------------------------
 # Batch ingestion over HTTP
 # ---------------------------------------------------------------------------
