@@ -16,16 +16,18 @@ The same record format backs the ``regel batch --record`` CLI path, so a
 local run and a service run of one corpus file produce interchangeable
 artifacts.
 
-Each transition is persisted by one append to a sidecar **journal**
-(``<batch_id>.journal``, one JSON object per line with a monotonic ``seq``).
-The record alone decides when to write its atomic (write-then-rename) JSON
+Each transition is one append to a sidecar **journal**
+(``<batch_id>.journal``, one JSON object per line with a monotonic ``seq``
+and a ``ts``).  The record alone writes its atomic (write-then-rename) JSON
 **snapshot**: as a compaction, once the journal entries since the last
-snapshot outnumber the items, and as the fallback when an append fails.
-:meth:`BatchRecord.load` replays the journal suffix the snapshot missed, or
-the whole journal when the snapshot is torn or gone.  An undecodable journal
-line (an append a crash interrupted) is skipped, and the next append starts
-on a fresh line.  The ``batch.persist`` / ``batch.load`` fault points
-(:mod:`repro.faults`) let the chaos suite kill these writes mid-flight.
+snapshot outnumber the items it holds (after 1, 3, 7, … transitions of a
+growing record, so snapshot bytes stay proportional to journal bytes), and
+as the fallback when an append fails.  :meth:`BatchRecord.load` replays the
+journal suffix the snapshot missed, or the whole journal when the snapshot
+is torn or gone.  An undecodable journal line (an append a crash
+interrupted) is skipped, and the next append starts on a fresh line.  The
+``batch.persist`` / ``batch.load`` fault points (:mod:`repro.faults`) let
+the chaos suite kill these writes mid-flight.
 """
 
 from __future__ import annotations
@@ -106,8 +108,9 @@ class BatchRecord:
         self.live: set[int] = set()
         #: Highest journal sequence number written (or replayed) so far.
         self.journal_seq = 0
-        #: ``journal_seq`` the last snapshot on disk holds.
+        #: ``journal_seq`` and item count of the last snapshot on disk.
         self._snapshot_seq = 0
+        self._snapshot_len = 0
         #: The journal may end in a torn line (found on load, or left by a
         #: failed append): the next append starts on a fresh line.
         self._torn_tail = False
@@ -123,9 +126,9 @@ class BatchRecord:
     def _persist(self, index: int, item: Dict[str, Any]) -> None:
         """Append one journal entry (caller holds ``self._lock``).
 
-        Compacting only when the journal outgrows the snapshot keeps snapshot
-        bytes proportional to journal bytes.  Failures are absorbed: the
-        record must never fail an ingest over its own bookkeeping.
+        Compacting only once the journal outgrows the last snapshot keeps
+        snapshot bytes proportional to journal bytes.  Failures are absorbed:
+        the record must never fail an ingest over its own bookkeeping.
         """
         if self.path is None:
             return
@@ -133,8 +136,9 @@ class BatchRecord:
         self.journal_seq += 1
         lines = "\n" if self._torn_tail else ""
         if self.journal_seq == 1 and not journal.exists():
-            lines += json.dumps({"seq": 0, "batch_id": self.batch_id}) + "\n"
-        entry = {"seq": self.journal_seq, "index": index, "item": item}
+            header = {"seq": 0, "batch_id": self.batch_id, "ts": self.created}
+            lines += json.dumps(header) + "\n"
+        entry = {"seq": self.journal_seq, "index": index, "item": item, "ts": self.updated}
         lines += json.dumps(entry, sort_keys=True) + "\n"
         cut = len(lines) // 2
         try:
@@ -149,7 +153,7 @@ class BatchRecord:
             self.save()
             return
         self._torn_tail = False
-        if self.journal_seq - self._snapshot_seq > len(self.items):
+        if self.journal_seq - self._snapshot_seq > self._snapshot_len:
             self.save()
 
     def append_item(self, status: str, cache_key: str = "", **extra: Any) -> int:
@@ -159,8 +163,8 @@ class BatchRecord:
             item = {"index": index, "status": status, "cache_key": cache_key}
             item.update({k: v for k, v in extra.items() if v is not None})
             self.items.append(item)
-            self._persist(index, dict(item))
             self.updated = time.time()
+            self._persist(index, dict(item))
             return index
 
     def update_item(self, index: int, status: str, **extra: Any) -> None:
@@ -170,8 +174,8 @@ class BatchRecord:
             item.update({k: v for k, v in extra.items() if v is not None})
             if status in TERMINAL_ITEM_STATUSES:
                 self.live.discard(index)
-            self._persist(index, dict(item))
             self.updated = time.time()
+            self._persist(index, dict(item))
 
     def mark_live(self, index: int) -> None:
         with self._lock:
@@ -259,7 +263,7 @@ class BatchRecord:
             except OSError:
                 self.persist_errors += 1
             else:
-                self._snapshot_seq = self.journal_seq
+                self._snapshot_seq, self._snapshot_len = self.journal_seq, len(self.items)
 
     @classmethod
     def open(cls, path: "Path | str", create: bool = False) -> Optional["BatchRecord"]:
@@ -292,6 +296,7 @@ class BatchRecord:
             seq = data.get("journal_seq", 0)
             record.journal_seq = seq if isinstance(seq, int) else 0
             record._snapshot_seq = record.journal_seq
+            record._snapshot_len = len(record.items)
         except (ValueError, OSError, KeyError, TypeError):
             if not entries:
                 raise
@@ -300,6 +305,7 @@ class BatchRecord:
                 path.stem,
             )
             record = cls(batch_id=batch_id, path=path)
+            record.created = record.updated = entries[0].get("ts", record.created)
             record.recovered = True
         record._torn_tail = torn_tail
 
@@ -319,6 +325,7 @@ class BatchRecord:
             record.items[index] = dict(item)
             record.journal_seq = seq
             record.recovered = True
+            record.updated = entry.get("ts", record.updated)
         return record
 
 

@@ -469,6 +469,24 @@ class TestCliJson:
         assert captured.out.strip() == ""
         assert "skipped" in captured.err
 
+    def test_batch_record_file_is_written_by_the_record(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.service.batch import BatchRecord
+
+        path = tmp_path / "problems.ndjson"
+        path.write_text("{not json\n" * 5)  # each line fails fast, no solve
+        record_path = tmp_path / "batch.json"
+        assert main(["batch", str(path), "--record", str(record_path)]) == 1
+        capsys.readouterr()
+        # No caller saves: the record snapshots itself as it grows, so FILE
+        # exists and holds at least half the items.
+        snapshot = json.loads(record_path.read_text(encoding="utf-8"))
+        loaded = BatchRecord.load(record_path)
+        assert len(loaded) == 5 and loaded.counts()["failed"] == 5
+        assert snapshot["batch_id"] == loaded.batch_id
+        assert 5 <= 2 * len(snapshot["items"])
+        assert snapshot["items"] == loaded.items[: len(snapshot["items"])]
+
     def test_batch_resume_offset_skips_lines(self, tmp_path, capsys):
         from repro.cli import main
 

@@ -257,6 +257,15 @@ class TestBatchJournalRecovery:
         # The failed transition lived only in the (now deleted) snapshot.
         assert [item["status"] for item in loaded.items] == ["solved", "unsolved"]
 
+    def test_replay_restores_the_record_timestamps(self, tmp_path):
+        record = self._record_with_history(tmp_path)
+        record.update_item(1, "unsolved")  # journal-only: no snapshot yet
+        loaded = BatchRecord.load(record.path)
+        assert loaded.updated == record.updated
+        record.path.unlink()
+        loaded = BatchRecord.load(record.path)
+        assert (loaded.created, loaded.updated) == (record.created, record.updated)
+
     def test_unusable_snapshot_and_journal_is_a_clean_404(self, tmp_path):
         store = BatchStore(tmp_path / "batches")
         record = store.create()
